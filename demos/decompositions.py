@@ -4,16 +4,14 @@ the nice normal form the solvers actually consume."""
 
 from hitminor import (
     Graph,
-    augment_universal,
     exact_td_small,
     grid_graph,
     heuristic_td,
     make_nice,
-    make_nice_v0,
     validate_td,
     write_td,
-    TreeDecomposition,
 )
+from hitminor.treedecomp import lift_v0
 
 
 def main():
@@ -51,13 +49,8 @@ def main():
     print()
 
     print("-- universal-vertex variant used by the connectivity solvers")
-    g0 = augment_universal(g)
     v0 = g.n
-    td0 = TreeDecomposition(
-        bags=[bag | {v0} for bag in heuristic_td(g).bags],
-        edges=list(heuristic_td(g).edges),
-    )
-    ntd0 = make_nice_v0(td0, g0, v0)
+    ntd0 = lift_v0(ntd, v0)
     nonempty = [t for t in range(len(ntd0)) if ntd0.bags[t]]
     print(
         f"   {len(ntd0)} nodes, width {ntd0.width};"

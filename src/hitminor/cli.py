@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -226,9 +224,21 @@ def cmd_bench(args) -> int:
         return EXIT_FORMAT
     mode = "decide" if args.k is not None else "minimize"
 
-    def one(path: Path) -> tuple[RunReport, bool]:
-        g = read_gr(str(path))
-        return _run_instance(
+    any_mismatch = False
+    bad_input = False
+    solved = 0
+    peak = 0
+    for path in files:
+        try:
+            g = read_gr(str(path))
+        except FormatError as exc:
+            # A malformed file fails only its own instance.
+            bad_input = True
+            record = {"schema": REPORT_SCHEMA, "input": path.stem, "error": str(exc)}
+            print(json.dumps(record, sort_keys=True))
+            print(f"error: {path.name}: {exc}", file=sys.stderr)
+            continue
+        report, mismatch = _run_instance(
             name=path.stem,
             g=g,
             pattern=pattern,
@@ -238,24 +248,14 @@ def cmd_bench(args) -> int:
             verify=args.verify,
             with_time=args.timings,
         )
-
-    workers = max(1, int(os.environ.get("HITMINOR_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, files))
-    else:
-        results = [one(path) for path in files]
-
-    any_mismatch = False
-    peak = 0
-    for report, mismatch in results:
+        solved += 1
         any_mismatch |= mismatch
         peak = max(peak, report.peak_table_size)
         print(report.to_json())
     aggregate = {
         "schema": REPORT_SCHEMA,
         "aggregate": True,
-        "instances": len(results),
+        "instances": solved,
         "pattern": pattern.name,
         "mode": mode,
         "seed": args.seed,
@@ -265,7 +265,7 @@ def cmd_bench(args) -> int:
     if any_mismatch:
         print("error: verification mismatch", file=sys.stderr)
         return EXIT_MISMATCH
-    return EXIT_OK
+    return EXIT_FORMAT if bad_input else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,7 +8,7 @@ and safe to share between threads.  File I/O speaks the PACE .gr format
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import FormatError
 
@@ -260,20 +260,3 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
     """a and b side by side; b's vertices shifted by a.n."""
     edges = list(a.edges()) + [(u + a.n, v + a.n) for u, v in b.edges()]
     return Graph(a.n + b.n, edges)
-
-
-def iter_random_graphs(
-    count: int, n: int, density: float, seed: int
-) -> Iterator[Graph]:
-    """Deterministic stream of G(n, density) samples."""
-    import random
-
-    rng = random.Random(seed)
-    for _ in range(count):
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < density
-        ]
-        yield Graph(n, edges)

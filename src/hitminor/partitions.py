@@ -289,9 +289,6 @@ class WeightedPartitionSet:
             out._min_add(lifted, w)
         return out
 
-    def glue_weighted(self, extra: int, pair: Iterable[int]) -> WeightedPartitionSet:
-        return self.glue(pair).shift(extra)
-
     def proj(self, xs: Iterable[int]) -> WeightedPartitionSet:
         """Drop `xs`, keeping only entries where every dropped element shares
         a block with some kept element."""

@@ -2,8 +2,10 @@
 
 `solve` prepares the decomposition pipeline (heuristic unless one is
 supplied), dispatches to the right dynamic program, and reports per-run
-statistics.  Chair and banner have no table solver here; they are served by
-the exhaustive oracle and requesting them raises.
+statistics.  The pipeline validates and makes the decomposition nice once;
+C4 and paw lift that nice form with a universal vertex in every bag.  Chair
+and banner have no table solver here; they are served by the exhaustive
+oracle and requesting them raises.
 """
 
 from __future__ import annotations
@@ -13,14 +15,11 @@ from dataclasses import dataclass, field
 
 from ..graph import Graph
 from ..patterns import Pattern, SOLVER_KINDS
-from ..treedecomp import (
-    TreeDecomposition,
-    augment_universal,
-    heuristic_td,
-    make_nice,
-    make_nice_v0,
-    validate_td,
-)
+from ..treedecomp import TreeDecomposition, heuristic_td, lift_v0, make_nice
+
+# Not called here: perfbench/tracing.py times these helpers by patching them
+# under this module's name, so they stay importable from it.
+from ..treedecomp import augment_universal, make_nice_v0, validate_td  # noqa: F401
 from .connectivity import solve_c4, solve_paw
 from .labeling import solve_bdd, solve_p3, solve_p4
 
@@ -80,12 +79,6 @@ def solve(req: SolveRequest) -> SolveResult:
     td = req.decomposition
     if td is None:
         td = heuristic_td(g)
-    else:
-        violations = validate_td(g, td)
-        if violations:
-            raise ValueError(
-                "invalid tree decomposition: " + "; ".join(violations)
-            )
     stats: dict = {
         "pattern": pattern.name,
         "mode": req.mode,
@@ -93,15 +86,10 @@ def solve(req: SolveRequest) -> SolveResult:
         "m": g.m,
         "td_width": td.width,
     }
+    ntd = make_nice(td, g)
 
     if pattern.kind in ("c4", "paw"):
-        g0 = augment_universal(g)
-        v0 = g.n
-        td0 = TreeDecomposition(
-            bags=[bag | {v0} for bag in td.bags] or [frozenset([v0])],
-            edges=list(td.edges),
-        )
-        ntd = make_nice_v0(td0, g0, v0)
+        ntd = lift_v0(ntd, g.n)
         runner = solve_c4 if pattern.kind == "c4" else solve_paw
         if req.mode == "decide":
             found = runner(g, ntd, stats=stats, budget=req.k)
@@ -109,9 +97,8 @@ def solve(req: SolveRequest) -> SolveResult:
         else:
             answer = runner(g, ntd, stats=stats)
     else:
-        ntd = make_nice(td, g)
         if pattern.kind == "p3":
-            value = solve_p3(g, ntd, stats=stats)
+            value = solve_bdd(g, ntd, 1, stats=stats)
         elif pattern.kind == "p4":
             value = solve_p4(g, ntd, stats=stats)
         else:

@@ -18,9 +18,12 @@ exempt).
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..graph import Graph
 from ..partitions import WeightedPartitionSet
-from ..treedecomp import FORGET, INTRODUCE, LEAF, NiceTreeDecomposition
+from ..treedecomp import NiceTreeDecomposition
+from .engine import insert_at, remove_at, run_dp
 
 
 def _insert_bit(mask: int, pos: int) -> int:
@@ -47,18 +50,14 @@ class _NodeCtx:
 
     __slots__ = ("bag", "v0pos", "adj", "hcache")
 
-    def __init__(self, g0: Graph, v0: int, bag: tuple[int, ...]):
+    def __init__(self, g: Graph, v0: int, bag: tuple[int, ...]):
         self.bag = bag
         index = {v: i for i, v in enumerate(bag)}
         self.v0pos = index.get(v0)
-        # Plain adjacency among bag vertices, v0-edges excluded: those only
-        # enter the solution graph when explicitly selected.
+        # Plain adjacency among bag vertices, read from g, which has no v0:
+        # v0-edges only enter the solution graph when explicitly selected.
         self.adj = [
-            sum(
-                1 << index[w]
-                for w in g0.neighbors(v)
-                if w in index and w != v0 and v != v0
-            )
+            0 if v == v0 else sum(1 << index[w] for w in g.neighbors(v) if w in index)
             for v in bag
         ]
         self.hcache: dict[tuple[int, int], _HInfo] = {}
@@ -76,7 +75,7 @@ class _HInfo:
     """Bag-level view of a partial solution: kept bag vertices, their plain
     edges, and the selected v0-edges."""
 
-    __slots__ = ("adj", "n", "m", "cc", "c3", "tri_edges", "c4_free", "is_forest", "edges")
+    __slots__ = ("adj", "n", "m", "c3", "tri_edges", "c4_free", "is_forest")
 
     def __init__(self, ctx: _NodeCtx, kept: int, s0: int):
         v0pos = ctx.v0pos
@@ -95,7 +94,6 @@ class _HInfo:
                 if q > p:
                     edges.append((p, q))
         self.m = len(edges)
-        self.edges = edges
 
         c3 = 0
         diamond_free = True
@@ -124,7 +122,6 @@ class _HInfo:
                 for q in _bits(frontier):
                     nxt |= adj[q]
                 frontier = nxt & ~seen
-        self.cc = cc
         self.c4_free = diamond_free and self.n - self.m + self.c3 == cc
         self.is_forest = self.m == self.n - cc
 
@@ -133,9 +130,12 @@ def _vedge(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def _project_without_filter(
-    wps: WeightedPartitionSet, v: int
-) -> WeightedPartitionSet:
+def _project(run: _Run, t: int, wps: WeightedPartitionSet, v: int) -> WeightedPartitionSet:
+    """Forget kept vertex v.  Below the root, `proj` drops every partition in
+    which v's block holds no other bag vertex: that block can never reach v0.
+    At the root v0 itself is forgotten, so no block is dropped there."""
+    if t != run.ntd.root:
+        return wps.proj([v])
     keep = [e for e in wps.ground if e != v]
     out = WeightedPartitionSet(keep)
     for p, w in wps.entries.items():
@@ -143,35 +143,38 @@ def _project_without_filter(
     return out
 
 
-def _validate_v0_structure(g: Graph, ntd: NiceTreeDecomposition, v0: int) -> None:
-    for t in range(len(ntd)):
-        bag = ntd.bags[t]
-        if bag and v0 not in bag:
-            raise ValueError(
-                "decomposition lacks the universal-vertex property: "
-                f"non-empty bag at node {t} misses vertex {v0}"
-            )
-
-
 class _Run:
     """State shared by one decision pass."""
 
-    __slots__ = ("g0", "ntd", "ctxs", "budget", "target_blocks", "max_table", "max_pset")
+    __slots__ = ("g", "v0", "ntd", "ctxs", "budget", "target_blocks", "stats", "max_pset")
 
-    def __init__(self, g0, ntd, ctxs, budget, target_blocks):
-        self.g0 = g0
+    def __init__(self, g, ntd, ctxs, budget, target_blocks, stats):
+        self.g = g
+        self.v0 = g.n
         self.ntd = ntd
         self.ctxs = ctxs
         self.budget = budget
         #: Component count a viable partial must exhibit, from the counters.
         self.target_blocks = target_blocks
-        self.max_table = 0
+        self.stats = stats
         self.max_pset = 0
 
     def too_deep(self, t: int, kept_count: int) -> bool:
         if self.budget is None:
             return False
         return self.ntd.subtree_size[t] - kept_count > self.budget
+
+    def dp(self, leaf_key, introduce, forget, join) -> dict:
+        """Run the engine with this pass bound to the solver's hooks."""
+        return run_dp(
+            self.ntd,
+            lambda: {leaf_key: WeightedPartitionSet.base()},
+            partial(introduce, self),
+            partial(forget, self),
+            partial(join, self),
+            finish=self.finish_node,
+            stats=self.stats,
+        )
 
     def finish_node(self, t: int, table: dict) -> None:
         # Every component of a viable partial holds a bag vertex (forgetting
@@ -199,8 +202,6 @@ class _Run:
             table[key] = reduced
             if len(reduced) > self.max_pset:
                 self.max_pset = len(reduced)
-        if len(table) > self.max_table:
-            self.max_table = len(table)
 
 
 def _accumulate(table: dict, key, wps: WeightedPartitionSet) -> None:
@@ -208,6 +209,32 @@ def _accumulate(table: dict, key, wps: WeightedPartitionSet) -> None:
         return
     prev = table.get(key)
     table[key] = wps if prev is None else prev.union(wps)
+
+
+def _deepen(g, ntd, stats, budget, one_pass, target_blocks) -> int | None:
+    """The budget loop of solve_c4 and solve_paw.
+
+    With a budget, one pass decides it.  Without one, budgets 0, 1, ... are
+    tried in turn, so the first pass that finds a solution finds the minimum.
+    """
+    v0 = g.n
+    for t, bag in enumerate(ntd.bags):
+        if bag and v0 not in bag:
+            raise ValueError(
+                "decomposition lacks the universal-vertex property: "
+                f"non-empty bag at node {t} misses vertex {v0}"
+            )
+    ctxs = [_NodeCtx(g, v0, bag) for bag in ntd.bags]
+    for k in range(g.n + 1) if budget is None else (budget,):
+        run = _Run(g, ntd, ctxs, k, target_blocks, stats)
+        result = one_pass(run)
+        if stats is not None:
+            stats["max_partition_set_size"] = max(
+                stats.get("max_partition_set_size", 0), run.max_pset
+            )
+        if result is not None or budget is not None:
+            return result
+    raise AssertionError("deleting every vertex is always feasible")
 
 
 # ---------------------------------------------------------------------------
@@ -231,83 +258,33 @@ def solve_c4(
     is at most the budget, else None; without one, iterates budgets upward
     and always returns the minimum.
     """
-    from ..treedecomp import augment_universal
-
-    g0 = augment_universal(g)
-    v0 = g.n
-    _validate_v0_structure(g0, ntd, v0)
-    ctxs = [_NodeCtx(g0, v0, ntd.bags[t]) for t in range(len(ntd))]
-
-    def target_blocks(key):
-        _, _, _, i, j, l = key
-        return i - j + l
-
-    if budget is not None:
-        run = _Run(g0, ntd, ctxs, budget, target_blocks)
-        result = _c4_pass(run)
-        _merge_stats(stats, run)
-        return result
-    for k in range(g.n + 1):
-        run = _Run(g0, ntd, ctxs, k, target_blocks)
-        result = _c4_pass(run)
-        _merge_stats(stats, run)
-        if result is not None:
-            return result
-    raise AssertionError("deleting every vertex is always feasible")
+    return _deepen(g, ntd, stats, budget, _c4_pass, _c4_blocks)
 
 
-def _merge_stats(stats: dict | None, run: _Run) -> None:
-    if stats is None:
-        return
-    stats["max_table_size"] = max(stats.get("max_table_size", 0), run.max_table)
-    stats["max_partition_set_size"] = max(
-        stats.get("max_partition_set_size", 0), run.max_pset
-    )
+def _c4_blocks(key) -> int:
+    _, _, _, i, j, l = key
+    return i - j + l
 
 
 def _c4_pass(run: _Run) -> int | None:
-    ntd = run.ntd
-    v0 = run.g0.n - 1
-    tables: list[dict | None] = [None] * len(ntd)
-    for t in range(len(ntd)):
-        kind = ntd.kinds[t]
-        ctx = run.ctxs[t]
-        if kind == LEAF:
-            table = {
-                (0, 0, frozenset(), 0, 0, 0): WeightedPartitionSet.base()
-            }
-        elif kind == INTRODUCE:
-            (c,) = ntd.children[t]
-            table = _c4_introduce(run, t, ctx, ntd.vertex[t], tables[c])
-            tables[c] = None
-        elif kind == FORGET:
-            (c,) = ntd.children[t]
-            table = _c4_forget(run, t, ntd.vertex[t], ntd.bags[c], tables[c])
-            tables[c] = None
-        else:
-            c1, c2 = ntd.children[t]
-            table = _c4_join(run, t, ctx, tables[c1], tables[c2])
-            tables[c1] = tables[c2] = None
-        run.finish_node(t, table)
-        tables[t] = table
-
-    root_table = tables[ntd.root]
-    assert root_table is not None
-    n0 = run.g0.n
+    root_table = run.dp(
+        (0, 0, frozenset(), 0, 0, 0), _c4_introduce, _c4_forget, _c4_join
+    )
     best = None
     for (kept, s0, redges, i, j, l), wps in root_table.items():
         assert kept == 0 and s0 == 0 and not redges
         if l != 1 + j - i or not wps.entries:
             continue
-        k = n0 - i
+        k = run.g.n + 1 - i
         if best is None or k < best:
             best = k
     return best
 
 
-def _c4_introduce(run: _Run, t: int, ctx: _NodeCtx, v: int, child: dict) -> dict:
-    v0 = run.g0.n - 1
-    pos = ctx.bag.index(v)
+def _c4_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
+    ctx = run.ctxs[t]
+    v = run.ntd.vertex[t]
+    v0 = run.v0
     out: dict = {}
     for (kept_c, s0_c, redges, i, j, l), wps in child.items():
         kept = _insert_bit(kept_c, pos)
@@ -354,11 +331,8 @@ def _c4_introduce(run: _Run, t: int, ctx: _NodeCtx, v: int, child: dict) -> dict
     return out
 
 
-def _c4_forget(
-    run: _Run, t: int, v: int, child_bag: tuple[int, ...], child: dict
-) -> dict:
-    cpos = child_bag.index(v)
-    at_root = t == run.ntd.root
+def _c4_forget(run: _Run, t: int, cpos: int, child: dict) -> dict:
+    v = run.ntd.vertex[t]
     out: dict = {}
     for (kept_c, s0_c, redges, i, j, l), wps in child.items():
         kept = _remove_bit(kept_c, cpos)
@@ -367,14 +341,12 @@ def _c4_forget(
             _accumulate(out, (kept, s0, redges, i, j, l), wps)
             continue
         rem = frozenset(e for e in redges if v not in e)
-        value = (
-            _project_without_filter(wps, v) if at_root else wps.proj([v])
-        )
-        _accumulate(out, (kept, s0, rem, i, j, l), value)
+        _accumulate(out, (kept, s0, rem, i, j, l), _project(run, t, wps, v))
     return out
 
 
-def _c4_join(run: _Run, t: int, ctx: _NodeCtx, left: dict, right: dict) -> dict:
+def _c4_join(run: _Run, t: int, left: dict, right: dict) -> dict:
+    ctx = run.ctxs[t]
     grouped: dict[tuple[int, int], list] = {}
     for (kept, s0, redges, i, j, l), wps in right.items():
         grouped.setdefault((kept, s0), []).append((redges, i, j, l, wps))
@@ -422,28 +394,12 @@ def solve_paw(
     budget: int | None = None,
 ) -> int | None:
     """Minimum deletions making g paw-TM-free; see solve_c4 for the contract."""
-    from ..treedecomp import augment_universal
+    return _deepen(g, ntd, stats, budget, _paw_pass, _paw_blocks)
 
-    g0 = augment_universal(g)
-    v0 = g.n
-    _validate_v0_structure(g0, ntd, v0)
-    ctxs = [_NodeCtx(g0, v0, ntd.bags[t]) for t in range(len(ntd))]
-    def target_blocks(key):
-        _, _, i, j, _ = key
-        return i - j
 
-    if budget is not None:
-        run = _Run(g0, ntd, ctxs, budget, target_blocks)
-        result = _paw_pass(run)
-        _merge_stats(stats, run)
-        return result
-    for k in range(g.n + 1):
-        run = _Run(g0, ntd, ctxs, k, target_blocks)
-        result = _paw_pass(run)
-        _merge_stats(stats, run)
-        if result is not None:
-            return result
-    raise AssertionError("deleting every vertex is always feasible")
+def _paw_blocks(key) -> int:
+    _, _, i, j, _ = key
+    return i - j
 
 
 def _forest_mask(labels: tuple[int, ...]) -> int:
@@ -451,53 +407,29 @@ def _forest_mask(labels: tuple[int, ...]) -> int:
 
 
 def _paw_pass(run: _Run) -> int | None:
-    ntd = run.ntd
-    tables: list[dict | None] = [None] * len(ntd)
-    for t in range(len(ntd)):
-        kind = ntd.kinds[t]
-        ctx = run.ctxs[t]
-        if kind == LEAF:
-            table = {((), 0, 0, 0, 0): WeightedPartitionSet.base()}
-        elif kind == INTRODUCE:
-            (c,) = ntd.children[t]
-            table = _paw_introduce(run, t, ctx, ntd.vertex[t], tables[c])
-            tables[c] = None
-        elif kind == FORGET:
-            (c,) = ntd.children[t]
-            table = _paw_forget(run, t, ntd.vertex[t], ntd.bags[c], tables[c])
-            tables[c] = None
-        else:
-            c1, c2 = ntd.children[t]
-            table = _paw_join(run, t, ctx, tables[c1], tables[c2])
-            tables[c1] = tables[c2] = None
-        run.finish_node(t, table)
-        tables[t] = table
-
-    root_table = tables[ntd.root]
-    assert root_table is not None
-    n0 = run.g0.n
+    root_table = run.dp(((), 0, 0, 0, 0), _paw_introduce, _paw_forget, _paw_join)
     best = None
     for (labels, s0, i, j, l), wps in root_table.items():
         assert labels == () and s0 == 0
         if j != i - 1 or not wps.entries:
             continue
-        k = n0 - (i + l)
+        k = run.g.n + 1 - (i + l)
         if best is None or k < best:
             best = k
     return best
 
 
-def _paw_introduce(run: _Run, t: int, ctx: _NodeCtx, v: int, child: dict) -> dict:
-    v0 = run.g0.n - 1
-    pos = ctx.bag.index(v)
-    is_v0 = v == v0
+def _paw_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
+    ctx = run.ctxs[t]
+    v = run.ntd.vertex[t]
+    is_v0 = v == run.v0
     plain_nbrs = [q if q < pos else q - 1 for q in _bits(ctx.adj[pos])]
     out: dict = {}
     for (labels_c, s0_c, i, j, l), wps in child.items():
         s0 = _insert_bit(s0_c, pos)
         if not is_v0 and not run.too_deep(t, i + l):
             _accumulate(
-                out, (_ins_label(labels_c, pos, _DEL), s0, i, j, l), wps
+                out, (insert_at(labels_c, pos, _DEL), s0, i, j, l), wps
             )
 
         forest_adjacent = [q for q in plain_nbrs if labels_c[q] == _FOREST]
@@ -507,7 +439,7 @@ def _paw_introduce(run: _Run, t: int, ctx: _NodeCtx, v: int, child: dict) -> dic
         if not cycle_adjacent and not run.too_deep(t, i + 1 + l):
             choices = (False,) if is_v0 else (False, True)
             for pick_v0_edge in choices:
-                labels = _ins_label(labels_c, pos, _FOREST)
+                labels = insert_at(labels_c, pos, _FOREST)
                 s0_p = s0 | (1 << pos if pick_v0_edge else 0)
                 info = ctx.hinfo(_forest_mask(labels), s0_p)
                 if not info.is_forest:
@@ -527,44 +459,30 @@ def _paw_introduce(run: _Run, t: int, ctx: _NodeCtx, v: int, child: dict) -> dic
             upd = list(labels_c)
             for q in cycle_adjacent:
                 upd[q] += 1
-            labels = _ins_label(
+            labels = insert_at(
                 tuple(upd), pos, _CYC0 + len(cycle_adjacent)
             )
             _accumulate(out, (labels, s0, i, j, l + 1), wps)
     return out
 
 
-def _ins_label(labels: tuple[int, ...], pos: int, value: int) -> tuple[int, ...]:
-    return labels[:pos] + (value,) + labels[pos:]
-
-
-def _del_label(labels: tuple[int, ...], pos: int) -> tuple[int, ...]:
-    return labels[:pos] + labels[pos + 1 :]
-
-
-def _paw_forget(
-    run: _Run, t: int, v: int, child_bag: tuple[int, ...], child: dict
-) -> dict:
-    cpos = child_bag.index(v)
-    at_root = t == run.ntd.root
+def _paw_forget(run: _Run, t: int, cpos: int, child: dict) -> dict:
+    v = run.ntd.vertex[t]
     out: dict = {}
     for (labels_c, s0_c, i, j, l), wps in child.items():
         label = labels_c[cpos]
         if label in (_CYC0, _CYC1):
             continue  # a cycle vertex leaves the bag only once closed
-        labels = _del_label(labels_c, cpos)
+        labels = remove_at(labels_c, cpos)
         s0 = _remove_bit(s0_c, cpos)
         if label == _FOREST:
-            value = (
-                _project_without_filter(wps, v) if at_root else wps.proj([v])
-            )
-            _accumulate(out, (labels, s0, i, j, l), value)
-        else:
-            _accumulate(out, (labels, s0, i, j, l), wps)
+            wps = _project(run, t, wps, v)
+        _accumulate(out, (labels, s0, i, j, l), wps)
     return out
 
 
-def _paw_join(run: _Run, t: int, ctx: _NodeCtx, left: dict, right: dict) -> dict:
+def _paw_join(run: _Run, t: int, left: dict, right: dict) -> dict:
+    ctx = run.ctxs[t]
     def kind_key(labels: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(min(x, _CYC0) for x in labels)
 

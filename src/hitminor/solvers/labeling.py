@@ -1,5 +1,6 @@
-"""Label-table solvers: deletion to max-degree-1, to star-or-triangle
-components, and to bounded degree.
+"""Label-table solvers: deletion to star-or-triangle components and to
+bounded degree.  P3 is the star K1,2, so its free graphs are those of maximum
+degree one and `solve_p3` is the degree-1 case of `solve_bdd`.
 
 Each table maps a tuple of per-bag-vertex labels to the smallest deletion
 count among partial solutions realizing those labels on the subtree graph.
@@ -10,7 +11,8 @@ join node, so joins subtract bag-level contributions once.
 from __future__ import annotations
 
 from ..graph import Graph
-from ..treedecomp import FORGET, INTRODUCE, LEAF, NiceTreeDecomposition
+from ..treedecomp import NiceTreeDecomposition
+from .engine import insert_at, remove_at, run_dp
 
 Table = dict[tuple[int, ...], int]
 
@@ -23,131 +25,14 @@ def _bag_positions(g: Graph, bag: tuple[int, ...]) -> list[list[int]]:
     ]
 
 
-def _insert(labels: tuple[int, ...], pos: int, value: int) -> tuple[int, ...]:
-    return labels[:pos] + (value,) + labels[pos:]
-
-
-def _remove(labels: tuple[int, ...], pos: int) -> tuple[int, ...]:
-    return labels[:pos] + labels[pos + 1 :]
-
-
 def _min_put(table: Table, key: tuple[int, ...], value: int) -> None:
     prev = table.get(key)
     if prev is None or value < prev:
         table[key] = value
 
 
-def _run(
-    g: Graph,
-    ntd: NiceTreeDecomposition,
-    leaf,
-    introduce,
-    forget,
-    join,
-    bound,
-    stats: dict | None,
-) -> int:
-    tables: list[Table | None] = [None] * len(ntd)
-    max_table = 0
-    for t in range(len(ntd)):
-        kind = ntd.kinds[t]
-        bag = ntd.bags[t]
-        if kind == LEAF:
-            table = leaf()
-        elif kind == INTRODUCE:
-            (c,) = ntd.children[t]
-            pos = bag.index(ntd.vertex[t])
-            table = introduce(tables[c], bag, pos)
-            tables[c] = None
-        elif kind == FORGET:
-            (c,) = ntd.children[t]
-            cpos = ntd.bags[c].index(ntd.vertex[t])
-            table = forget(tables[c], cpos)
-            tables[c] = None
-        else:
-            c1, c2 = ntd.children[t]
-            table = join(tables[c1], tables[c2], bag)
-            tables[c1] = tables[c2] = None
-        assert len(table) <= bound ** len(bag)
-        max_table = max(max_table, len(table))
-        tables[t] = table
-    if stats is not None:
-        stats["max_table_size"] = max(stats.get("max_table_size", 0), max_table)
-    root_table = tables[ntd.root]
-    assert root_table is not None
-    return root_table[()]
-
-
-# ---------------------------------------------------------------------------
-# Deletion to maximum degree one.
-#
-# Labels: 0 = deleted, 1 = kept and isolated so far, 2 = kept and matched.
-
-_P3_DEL, _P3_ISO, _P3_MATCHED = 0, 1, 2
-
-
-def solve_p3(g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None) -> int:
-    """Minimum deletions so every remaining vertex has degree at most one."""
-
-    def leaf() -> Table:
-        return {(): 0}
-
-    def introduce(child: Table, bag, pos) -> Table:
-        nbrs = _bag_positions(g, bag)[pos]
-        child_nbrs = [p if p < pos else p - 1 for p in nbrs]
-        out: Table = {}
-        for labels, r in child.items():
-            _min_put(out, _insert(labels, pos, _P3_DEL), r + 1)
-            kept = [p for p in child_nbrs if labels[p] != _P3_DEL]
-            if not kept:
-                _min_put(out, _insert(labels, pos, _P3_ISO), r)
-            elif len(kept) == 1 and labels[kept[0]] == _P3_ISO:
-                upd = list(labels)
-                upd[kept[0]] = _P3_MATCHED
-                _min_put(out, _insert(tuple(upd), pos, _P3_MATCHED), r)
-        return out
-
-    def forget(child: Table, cpos) -> Table:
-        out: Table = {}
-        for labels, r in child.items():
-            _min_put(out, _remove(labels, cpos), r)
-        return out
-
-    def join(left: Table, right: Table, bag) -> Table:
-        nbrs = _bag_positions(g, bag)
-        by_deleted: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-        for labels, r in right.items():
-            mask = tuple(1 if x == _P3_DEL else 0 for x in labels)
-            by_deleted.setdefault(mask, []).append((labels, r))
-        out: Table = {}
-        for labels1, r1 in left.items():
-            mask = tuple(1 if x == _P3_DEL else 0 for x in labels1)
-            size_s = sum(mask)
-            for labels2, r2 in by_deleted.get(mask, ()):
-                merged = []
-                ok = True
-                for i, (a, b) in enumerate(zip(labels1, labels2)):
-                    if a == _P3_DEL:
-                        merged.append(_P3_DEL)
-                    elif a == _P3_ISO and b == _P3_ISO:
-                        merged.append(_P3_ISO)
-                    elif a == _P3_MATCHED and b == _P3_MATCHED:
-                        # Matched on both sides is only consistent when the
-                        # partner is the one shared bag neighbor.
-                        kept_deg = sum(
-                            1 for p in nbrs[i] if labels1[p] != _P3_DEL
-                        )
-                        if kept_deg != 1:
-                            ok = False
-                            break
-                        merged.append(_P3_MATCHED)
-                    else:
-                        merged.append(_P3_MATCHED)
-                if ok:
-                    _min_put(out, tuple(merged), r1 + r2 - size_s)
-        return out
-
-    return _run(g, ntd, leaf, introduce, forget, join, 3, stats)
+def _leaf() -> Table:
+    return {(): 0}
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +48,8 @@ _P4_DEL, _P4_LEAF_OPEN, _P4_LEAF_DONE, _P4_CENTER, _P4_TRI_OPEN, _P4_TRI_DONE = 
 def solve_p4(g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None) -> int:
     """Minimum deletions so every component is a triangle or a star."""
 
-    def leaf() -> Table:
-        return {(): 0}
-
-    def introduce(child: Table, bag, pos) -> Table:
+    def introduce(t, pos, child: Table) -> Table:
+        bag = ntd.bags[t]
         bagpos = _bag_positions(g, bag)
         child_nbrs = [p if p < pos else p - 1 for p in bagpos[pos]]
         # For each child position, the child positions of its bag neighbors
@@ -190,21 +73,21 @@ def solve_p4(g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None) ->
 
         out: Table = {}
         for labels, r in child.items():
-            _min_put(out, _insert(labels, pos, _P4_DEL), r + 1)
+            _min_put(out, insert_at(labels, pos, _P4_DEL), r + 1)
             kept = [p for p in child_nbrs if labels[p] != _P4_DEL]
             if not kept:
-                _min_put(out, _insert(labels, pos, _P4_LEAF_OPEN), r)
-                _min_put(out, _insert(labels, pos, _P4_CENTER), r)
-                _min_put(out, _insert(labels, pos, _P4_TRI_OPEN), r)
+                _min_put(out, insert_at(labels, pos, _P4_LEAF_OPEN), r)
+                _min_put(out, insert_at(labels, pos, _P4_CENTER), r)
+                _min_put(out, insert_at(labels, pos, _P4_TRI_OPEN), r)
                 continue
             if len(kept) == 1:
                 u = kept[0]
                 if labels[u] == _P4_CENTER:
-                    _min_put(out, _insert(labels, pos, _P4_LEAF_DONE), r)
+                    _min_put(out, insert_at(labels, pos, _P4_LEAF_DONE), r)
                 if labels[u] == _P4_TRI_OPEN and not any(
                     labels[p] != _P4_DEL for p in other_nbrs[u]
                 ):
-                    _min_put(out, _insert(labels, pos, _P4_TRI_OPEN), r)
+                    _min_put(out, insert_at(labels, pos, _P4_TRI_OPEN), r)
             if len(kept) == 2:
                 u, w = kept
                 if (
@@ -215,24 +98,25 @@ def solve_p4(g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None) ->
                 ):
                     upd = list(labels)
                     upd[u] = upd[w] = _P4_TRI_DONE
-                    _min_put(out, _insert(tuple(upd), pos, _P4_TRI_DONE), r)
+                    _min_put(out, insert_at(tuple(upd), pos, _P4_TRI_DONE), r)
             # A new star center adopts exactly the currently isolated leaves.
             if all(labels[p] == _P4_LEAF_OPEN for p in kept):
                 upd = list(labels)
                 for p in kept:
                     upd[p] = _P4_LEAF_DONE
-                _min_put(out, _insert(tuple(upd), pos, _P4_CENTER), r)
+                _min_put(out, insert_at(tuple(upd), pos, _P4_CENTER), r)
         return out
 
-    def forget(child: Table, cpos) -> Table:
+    def forget(t, cpos, child: Table) -> Table:
         out: Table = {}
         for labels, r in child.items():
             if labels[cpos] in (_P4_LEAF_OPEN, _P4_TRI_OPEN):
                 continue
-            _min_put(out, _remove(labels, cpos), r)
+            _min_put(out, remove_at(labels, cpos), r)
         return out
 
-    def join(left: Table, right: Table, bag) -> Table:
+    def join(t, left: Table, right: Table) -> Table:
+        bag = ntd.bags[t]
         nbrs = _bag_positions(g, bag)
         # Children must agree on deletions and on star centers.
         def group_key(labels):
@@ -299,7 +183,7 @@ def solve_p4(g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None) ->
                     _min_put(out, tuple(merged), r1 + r2 - size_s)
         return out
 
-    return _run(g, ntd, leaf, introduce, forget, join, 6, stats)
+    return run_dp(ntd, _leaf, introduce, forget, join, bound=6, stats=stats)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -318,45 +202,47 @@ def solve_bdd(
     if d < 0:
         raise ValueError("maximum degree must be non-negative")
 
-    def leaf() -> Table:
-        return {(): 0}
-
-    def introduce(child: Table, bag, pos) -> Table:
-        nbrs = _bag_positions(g, bag)[pos]
+    def introduce(t, pos, child: Table) -> Table:
+        nbrs = _bag_positions(g, ntd.bags[t])[pos]
         child_nbrs = [p if p < pos else p - 1 for p in nbrs]
         out: Table = {}
         for labels, r in child.items():
-            _min_put(out, _insert(labels, pos, -1), r + 1)
+            _min_put(out, insert_at(labels, pos, -1), r + 1)
             kept = [p for p in child_nbrs if labels[p] >= 0]
             if len(kept) > d or any(labels[p] + 1 > d for p in kept):
                 continue
             upd = list(labels)
             for p in kept:
                 upd[p] += 1
-            _min_put(out, _insert(tuple(upd), pos, len(kept)), r)
+            _min_put(out, insert_at(tuple(upd), pos, len(kept)), r)
         return out
 
-    def forget(child: Table, cpos) -> Table:
+    def forget(t, cpos, child: Table) -> Table:
         out: Table = {}
         for labels, r in child.items():
-            _min_put(out, _remove(labels, cpos), r)
+            _min_put(out, remove_at(labels, cpos), r)
         return out
 
-    def join(left: Table, right: Table, bag) -> Table:
-        nbrs = _bag_positions(g, bag)
+    def join(t, left: Table, right: Table) -> Table:
+        nbrs = _bag_positions(g, ntd.bags[t])
         by_deleted: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
         for labels, r in right.items():
             mask = tuple(1 if x < 0 else 0 for x in labels)
             by_deleted.setdefault(mask, []).append((labels, r))
+        # Kept bag neighbors per position depend only on the deletion mask.
+        bag_degs = {
+            mask: [sum(1 for p in nbrs[i] if not mask[p]) for i in range(len(mask))]
+            for mask in by_deleted
+        }
         out: Table = {}
         for labels1, r1 in left.items():
             mask = tuple(1 if x < 0 else 0 for x in labels1)
+            bucket = by_deleted.get(mask)
+            if bucket is None:
+                continue
             size_s = sum(mask)
-            bag_deg = [
-                sum(1 for p in nbrs[i] if labels1[p] >= 0)
-                for i in range(len(labels1))
-            ]
-            for labels2, r2 in by_deleted.get(mask, ()):
+            bag_deg = bag_degs[mask]
+            for labels2, r2 in bucket:
                 merged = []
                 ok = True
                 for i, (a, b) in enumerate(zip(labels1, labels2)):
@@ -372,4 +258,9 @@ def solve_bdd(
                     _min_put(out, tuple(merged), r1 + r2 - size_s)
         return out
 
-    return _run(g, ntd, leaf, introduce, forget, join, d + 2, stats)
+    return run_dp(ntd, _leaf, introduce, forget, join, bound=d + 2, stats=stats)[()]
+
+
+def solve_p3(g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None) -> int:
+    """Minimum deletions so every remaining vertex has degree at most one."""
+    return solve_bdd(g, ntd, 1, stats)

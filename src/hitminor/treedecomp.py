@@ -63,41 +63,34 @@ def validate_td(g: Graph, td: TreeDecomposition) -> list[str]:
     if not _edges_form_tree(td.num_nodes, td.edges):
         violations.append("structure: tree edges do not form a tree")
         return violations
+    # holders[v]: the nodes whose bag contains v, built in one pass.
+    holders: list[list[int]] = [[] for _ in range(g.n)]
     for i, bag in enumerate(td.bags):
         for v in bag:
             if not (0 <= v < g.n):
                 violations.append(f"structure: bag {i} contains unknown vertex {v}")
                 return violations
+            holders[v].append(i)
 
-    covered: set[int] = set().union(*td.bags) if td.bags else set()
     for v in range(g.n):
-        if v not in covered:
+        if not holders[v]:
             violations.append(f"vertex coverage: vertex {v} is in no bag")
 
     for u, v in g.edges():
-        if not any(u in bag and v in bag for bag in td.bags):
+        # Scan the shorter holder list for a bag with the other endpoint.
+        a, b = (u, v) if len(holders[u]) <= len(holders[v]) else (v, u)
+        if not any(b in td.bags[i] for i in holders[a]):
             violations.append(f"edge coverage: edge ({u},{v}) is in no bag")
 
     # Occurrence connectivity: the nodes holding each vertex must induce a
-    # connected subtree.
-    adj: list[list[int]] = [[] for _ in range(td.num_nodes)]
+    # connected subtree.  They induce a forest, which is connected exactly
+    # when it has one tree edge fewer than nodes.
+    shared = [0] * g.n
     for a, b in td.edges:
-        adj[a].append(b)
-        adj[b].append(a)
+        for v in td.bags[a] & td.bags[b]:
+            shared[v] += 1
     for v in range(g.n):
-        holders = [i for i, bag in enumerate(td.bags) if v in bag]
-        if len(holders) <= 1:
-            continue
-        holder_set = set(holders)
-        seen = {holders[0]}
-        stack = [holders[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in holder_set and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != len(holders):
+        if holders[v] and shared[v] != len(holders[v]) - 1:
             violations.append(
                 f"occurrence connectivity: bags holding vertex {v} are disconnected"
             )
@@ -297,18 +290,6 @@ class NiceTreeDecomposition:
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def subtree_vertices(self, t: int) -> frozenset[int]:
-        """V_t: bag vertices plus everything forgotten below t."""
-        out: set[int] = set()
-        stack = [t]
-        while stack:
-            x = stack.pop()
-            out.update(self.bags[x])
-            stack.extend(self.children[x])
-            if self.kinds[x] == FORGET:
-                out.add(self.vertex[x])  # type: ignore[arg-type]
-        return frozenset(out)
-
     def check(self, g: Graph) -> None:
         """Assert every structural invariant; test helper."""
         assert self.bags[self.root] == ()
@@ -379,7 +360,11 @@ def _rooted_children(td: TreeDecomposition, root: int) -> list[list[int]]:
 
 
 def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
-    """Convert a valid decomposition to nice form of the same width."""
+    """Convert a decomposition to nice form of the same width.
+
+    Raises ValueError, listing every violation, when `td` is not a valid
+    decomposition of g; this is the only validation a solve runs.
+    """
     violations = validate_td(g, td)
     if violations:
         raise ValueError("invalid tree decomposition: " + "; ".join(violations))
@@ -389,14 +374,6 @@ def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
         return nice
 
     children = _rooted_children(td, 0)
-
-    def chain_leaf_to(bag: frozenset[int]) -> int:
-        node = nice._append(LEAF, None, (), ())
-        cur: list[int] = []
-        for v in sorted(bag):
-            cur.append(v)
-            node = nice._append(INTRODUCE, v, tuple(cur), (node,))
-        return node
 
     def transition(top: int, frm: frozenset[int], to: frozenset[int]) -> int:
         node = top
@@ -421,7 +398,7 @@ def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
             continue
         bag = td.bags[t]
         if not children[t]:
-            tops[t] = chain_leaf_to(bag)
+            tops[t] = transition(nice._append(LEAF, None, (), ()), frozenset(), bag)
             continue
         branch_tops = [
             transition(tops[c], td.bags[c], bag) for c in children[t]
@@ -431,11 +408,7 @@ def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
             node = nice._append(JOIN, None, tuple(sorted(bag)), (node, other))
         tops[t] = node
 
-    node = tops[0]
-    cur = set(td.bags[0])
-    for v in sorted(td.bags[0]):
-        cur.discard(v)
-        node = nice._append(FORGET, v, tuple(sorted(cur)), (node,))
+    transition(tops[0], td.bags[0], frozenset())
     return nice
 
 
@@ -450,35 +423,35 @@ def make_nice_v0(
 ) -> NiceTreeDecomposition:
     """Nice decomposition of g0 whose every non-empty bag contains v0.
 
-    v0 is introduced immediately above each leaf and forgotten at the root,
-    so the only empty bags are the root and the leaves.  Width grows by at
-    most one relative to td0.
+    v0 must be g0's universal vertex, with the highest id: td0 without v0
+    is made nice for g0 without v0, then lifted by `lift_v0`.
     """
     if v0 != g0.n - 1:
         raise ValueError("universal vertex must be the highest id")
-    violations = validate_td(g0, td0)
-    if violations:
-        raise ValueError("invalid tree decomposition: " + "; ".join(violations))
-    base = Graph(
-        g0.n - 1,
-        [(u, v) for u, v in g0.edges() if u != v0 and v != v0],
-    )
+    base = Graph(v0, [(u, v) for u, v in g0.edges() if v0 not in (u, v)])
     stripped = TreeDecomposition(
         bags=[bag - {v0} for bag in td0.bags], edges=list(td0.edges)
     )
-    inner = make_nice(stripped, base)
+    return lift_v0(make_nice(stripped, base), v0)
 
+
+def lift_v0(inner: NiceTreeDecomposition, v0: int) -> NiceTreeDecomposition:
+    """`inner` with a new vertex v0, above every vertex of inner, in every
+    non-empty bag.
+
+    v0 is introduced immediately above each leaf and forgotten at the root,
+    so the only empty bags are the root and the leaves.  Width grows by one.
+    """
     nice = NiceTreeDecomposition()
-    mapping: dict[int, int] = {}
+    mapping: list[int] = []
     for t in range(len(inner)):
-        kind = inner.kinds[t]
-        bag = tuple(sorted(set(inner.bags[t]) | {v0}))
-        kids = tuple(mapping[c] for c in inner.children[t])
-        if kind == LEAF:
+        if inner.kinds[t] == LEAF:
             leaf = nice._append(LEAF, None, (), ())
-            mapping[t] = nice._append(INTRODUCE, v0, (v0,), (leaf,))
+            mapping.append(nice._append(INTRODUCE, v0, (v0,), (leaf,)))
         else:
-            mapping[t] = nice._append(kind, inner.vertex[t], bag, kids)
+            kids = tuple(mapping[c] for c in inner.children[t])
+            bag = inner.bags[t] + (v0,)
+            mapping.append(nice._append(inner.kinds[t], inner.vertex[t], bag, kids))
     nice._append(FORGET, v0, (), (mapping[inner.root],))
     return nice
 

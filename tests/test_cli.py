@@ -200,13 +200,20 @@ class TestBench:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_parallel_matches_serial(self, demo_dir, capsys, monkeypatch):
-        main(["bench", "--corpus", str(demo_dir), "--pattern", "paw"])
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("HITMINOR_THREADS", "3")
-        main(["bench", "--corpus", str(demo_dir), "--pattern", "paw"])
-        parallel = capsys.readouterr().out
-        assert serial == parallel
+    def test_malformed_file_fails_only_its_instance(self, demo_dir, capsys):
+        (demo_dir / "bad.gr").write_text("p tw 3 1\n1 9\n")
+        code = main(["bench", "--corpus", str(demo_dir), "--pattern", "p4"])
+        assert code == EXIT_FORMAT
+        captured = capsys.readouterr()
+        records = [json.loads(line) for line in captured.out.splitlines()]
+        assert [r["input"] for r in records[:-1]] == ["bad", "c6", "k4", "p5"]
+        error = records[0]
+        assert set(error) == {"schema", "input", "error"}
+        assert error["schema"] == REPORT_SCHEMA and error["error"]
+        assert all("answer" in r for r in records[1:-1])
+        assert records[-1]["aggregate"] is True
+        assert records[-1]["instances"] == 3
+        assert "bad.gr" in captured.err
 
     def test_empty_corpus(self, tmp_path):
         assert main(["bench", "--corpus", str(tmp_path), "--pattern", "p3"]) == EXIT_FORMAT

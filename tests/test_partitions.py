@@ -166,7 +166,6 @@ class TestSetOperators:
         assert a.glue([]).entries == a.entries
         b = wps((0, 1), ([[0], [1]], 7))
         assert b.glue([0]).entries == b.entries
-        assert b.glue_weighted(3, [0, 1]).entries == {blocks([0, 1]): 10}
 
     def test_proj(self):
         a = wps((0, 1), ([[0, 1]], 1), ([[0], [1]], 4))

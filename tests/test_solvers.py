@@ -298,37 +298,84 @@ class TestPipelines:
 
 
 class TestDeadKeysStayAbsent:
-    def test_c4_tables_only_hold_viable_bag_views(self):
+    def test_c4_tables_only_hold_viable_bag_views(self, monkeypatch):
+        import hitminor.solvers.connectivity as conn
         from hitminor.solvers.connectivity import _NodeCtx
-        from hitminor.treedecomp import TreeDecomposition, make_nice_v0
+        from hitminor.treedecomp import lift_v0
 
+        seen = []
+        original = conn.run_dp
+
+        def spy_run_dp(ntd, *hooks, finish, **kwargs):
+            def spy_finish(t, table):
+                finish(t, table)
+                seen.append((t, dict(table)))
+
+            return original(ntd, *hooks, finish=spy_finish, **kwargs)
+
+        monkeypatch.setattr(conn, "run_dp", spy_run_dp)
         rng = random.Random(14)
         for _ in range(6):
             g = random_graph(7, 0.45, rng)
-            g0 = augment_universal(g)
             v0 = g.n
-            td = heuristic_td(g)
-            td0 = TreeDecomposition(
-                bags=[bag | {v0} for bag in td.bags] or [frozenset({v0})],
-                edges=list(td.edges),
-            )
-            ntd = make_nice_v0(td0, g0, v0)
-            seen = []
-            import hitminor.solvers.connectivity as conn
-
-            original = conn._Run.finish_node
-
-            def spy(self, t, table, _orig=original):
-                _orig(self, t, table)
-                seen.append((t, dict(table)))
-
-            conn._Run.finish_node = spy
-            try:
-                solve_c4(g, ntd)
-            finally:
-                conn._Run.finish_node = original
+            ntd = lift_v0(make_nice(heuristic_td(g), g), v0)
+            seen.clear()
+            solve_c4(g, ntd)
+            assert seen
             for t, table in seen:
-                ctx = _NodeCtx(g0, v0, ntd.bags[t])
+                ctx = _NodeCtx(g, v0, ntd.bags[t])
                 for (kept, s0, _, _, _, _), wps in table.items():
                     assert ctx.hinfo(kept, s0).c4_free
                     assert len(wps) <= 1 << len(wps.ground)
+
+
+class TestDecompositionPipeline:
+    """`solve` validates and makes the decomposition nice exactly once."""
+
+    @pytest.mark.parametrize("pattern", [P3, C4], ids=["p3", "c4"])
+    @pytest.mark.parametrize("supplied", [False, True], ids=["heuristic", "supplied"])
+    def test_validates_once_and_never_augments(self, monkeypatch, pattern, supplied):
+        import hitminor.solvers as solvers_mod
+        import hitminor.treedecomp as td_mod
+
+        calls = {"validate_td": 0, "augment_universal": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        g = cycle_graph(6)
+        td = heuristic_td(g) if supplied else None
+        for name in calls:
+            for module in (td_mod, solvers_mod):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        solve(SolveRequest(graph=g, pattern=pattern, decomposition=td))
+        assert calls == {"validate_td": 1, "augment_universal": 0}
+
+    def test_c4_decomposition_matches_make_nice_v0(self, monkeypatch):
+        import hitminor.solvers as solvers_mod
+        from hitminor.treedecomp import TreeDecomposition, make_nice_v0
+
+        built = []
+
+        def capture(g, ntd, stats=None, budget=None):
+            built.append(ntd)
+            return 0
+
+        monkeypatch.setattr(solvers_mod, "solve_c4", capture)
+        rng = random.Random(31)
+        for _ in range(50):
+            g = random_graph(rng.randrange(0, 13), rng.random() * 0.5, rng)
+            solve(SolveRequest(graph=g, pattern=C4))
+            ntd = built.pop()
+            td = heuristic_td(g)
+            td0 = TreeDecomposition(
+                bags=[bag | {g.n} for bag in td.bags] or [frozenset({g.n})],
+                edges=list(td.edges),
+            )
+            want = make_nice_v0(td0, augment_universal(g), g.n)
+            for attr in ("kinds", "vertex", "bags", "children"):
+                assert getattr(ntd, attr) == getattr(want, attr)
