@@ -7,7 +7,7 @@ pattern.  The fast path is dynamic programming over nice tree decompositions;
 an exhaustive oracle certifies everything at desk scale.
 """
 
-from .errors import FormatError, GuardError
+from .errors import FormatError, GuardError, InvalidDecomposition
 from .graph import (
     ComponentSummary,
     Graph,
@@ -71,6 +71,7 @@ from .solvers import (
 __all__ = [
     "FormatError",
     "GuardError",
+    "InvalidDecomposition",
     "Graph",
     "ComponentSummary",
     "connected_components",

@@ -16,12 +16,12 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import FormatError, GuardError
+from .errors import FormatError, GuardError, InvalidDecomposition
 from .graph import Graph, read_gr
 from .oracle import DELETION_LIMIT, min_deletion_bruteforce
 from .patterns import SOLVER_KINDS, Pattern, is_free_explain, parse_pattern
 from .solvers import SolveRequest, solve
-from .treedecomp import exact_td_small, heuristic_td, parse_td, validate_td, write_td
+from .treedecomp import exact_td_small, heuristic_td, parse_td, write_td
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -148,14 +148,6 @@ def cmd_solve(args) -> int:
     if args.td is not None:
         with open(args.td, "r", encoding="utf-8") as fh:
             td = parse_td(fh.read())
-        violations = validate_td(g, td)
-        if violations:
-            print(
-                "error: supplied decomposition is invalid: "
-                + "; ".join(violations),
-                file=sys.stderr,
-            )
-            return EXIT_FORMAT
     report, mismatch = _run_instance(
         name=args.graph,
         g=g,
@@ -327,12 +319,13 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
+    except (FormatError, InvalidDecomposition) as exc:
+        # A supplied .td is validated only inside the solve's make_nice.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -11,3 +11,11 @@ class GuardError(Exception):
 
 class FormatError(Exception):
     """A .gr or .td file (or stream) is malformed."""
+
+
+class InvalidDecomposition(ValueError):
+    """A tree decomposition violates an axiom for its graph.
+
+    A ValueError, so library callers catching that keep working; the CLI
+    reports it as an input format error.
+    """

@@ -1,19 +1,23 @@
 """Connectivity-tracking solvers: deletion to C4-free and to paw-free graphs.
 
-Both run the decision version of the problem over a nice decomposition of the
-input augmented with a universal vertex v0 that belongs to every non-empty
-bag.  Partial solutions carry a set of partitions of the kept bag vertices
-(their connectivity classes); after every node each per-key partition set is
-shrunk to a representative subset, which is what keeps the tables
-single-exponential in the bag size.
+Both run one pass of the rank-based dynamic program over a nice decomposition
+of the input augmented with a universal vertex v0 that belongs to every
+non-empty bag.  Partial solutions carry a set of weighted partitions of the
+kept bag vertices (their connectivity classes); a partition's weight is the
+number of vertices the partial solution deletes.  After every node each
+per-key partition set is shrunk to a min-weight representative subset, which
+is what keeps the tables single-exponential in the bag size.  The answer is
+the least weight at the root; with a budget, heavier entries are dropped as
+they appear.
 
-Correctness rests on counters rather than on local cycle checks: a C4-free
-kept graph with i vertices, j edges and l triangles that is connected
-satisfies l = 1 + j - i, and a kept forest part is a tree exactly when
-j = i - 1.  Connectivity itself is forced by the projection step at forget
-nodes: a forgotten vertex whose block holds no bag vertex can never reach v0,
-so its entries are dropped (the root, where v0 itself is forgotten, is
-exempt).
+Correctness rests on a counter rather than on local cycle checks: a kept
+graph whose blocks are edges and triangles (C4-free) with i vertices, j
+edges and l triangles has c = i - j + l components, and a kept forest part
+with i vertices and j edges has c = i - j.  Each key carries that c, so the
+solution is connected exactly when c = 1 at the root.  Connectivity itself is
+forced by the projection step at forget nodes: a forgotten vertex whose block
+holds no bag vertex can never reach v0, so its entries are dropped (the
+root, where v0 itself is forgotten, is exempt).
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ def _bits(mask: int) -> list[int]:
 
 
 class _NodeCtx:
-    """Per-node bag geometry shared by every pass of a solve."""
+    """Per-node bag geometry, with a cache of bag-level views."""
 
     __slots__ = ("bag", "v0pos", "adj", "hcache")
 
@@ -144,29 +148,32 @@ def _project(run: _Run, t: int, wps: WeightedPartitionSet, v: int) -> WeightedPa
 
 
 class _Run:
-    """State shared by one decision pass."""
+    """State of one solve, which is a single pass: the decomposition, its
+    per-node bag geometry and the budget.  Table keys end with the component
+    count c; partition weights count the deleted vertices of the subtree."""
 
-    __slots__ = ("g", "v0", "ntd", "ctxs", "budget", "target_blocks", "stats", "max_pset")
+    __slots__ = ("v0", "ntd", "ctxs", "budget", "stats", "max_pset")
 
-    def __init__(self, g, ntd, ctxs, budget, target_blocks, stats):
-        self.g = g
-        self.v0 = g.n
+    def __init__(self, g, ntd, budget, stats):
+        v0 = g.n
+        for t, bag in enumerate(ntd.bags):
+            if bag and v0 not in bag:
+                raise ValueError(
+                    "decomposition lacks the universal-vertex property: "
+                    f"non-empty bag at node {t} misses vertex {v0}"
+                )
+        self.v0 = v0
         self.ntd = ntd
-        self.ctxs = ctxs
-        self.budget = budget
-        #: Component count a viable partial must exhibit, from the counters.
-        self.target_blocks = target_blocks
+        self.ctxs = [_NodeCtx(g, v0, bag) for bag in ntd.bags]
+        # No partial deletes more than all n vertices, so n is no bound.
+        self.budget = g.n if budget is None else budget
         self.stats = stats
         self.max_pset = 0
 
-    def too_deep(self, t: int, kept_count: int) -> bool:
-        if self.budget is None:
-            return False
-        return self.ntd.subtree_size[t] - kept_count > self.budget
-
-    def dp(self, leaf_key, introduce, forget, join) -> dict:
-        """Run the engine with this pass bound to the solver's hooks."""
-        return run_dp(
+    def dp(self, leaf_key, introduce, forget, join) -> int | None:
+        """Run the engine with the solver's hooks bound to this run and
+        return the least weight of a connected (c == 1) root entry."""
+        root_table = run_dp(
             self.ntd,
             lambda: {leaf_key: WeightedPartitionSet.base()},
             partial(introduce, self),
@@ -175,28 +182,42 @@ class _Run:
             finish=self.finish_node,
             stats=self.stats,
         )
+        if self.stats is not None:
+            self.stats["max_partition_set_size"] = max(
+                self.stats.get("max_partition_set_size", 0), self.max_pset
+            )
+        return min(
+            (
+                w
+                for key, wps in root_table.items()
+                if key[-1] == 1
+                for w in wps.entries.values()
+            ),
+            default=None,
+        )
 
     def finish_node(self, t: int, table: dict) -> None:
         # Every component of a viable partial holds a bag vertex (forgetting
         # the last one is blocked by the projection), so its component count
-        # equals the partition's block count.  A diamond-free partial whose
-        # counters disagree with that already contains the pattern and never
-        # recovers; drop such entries before reducing.  The root is exempt:
-        # its ground set is empty and extraction checks the counters itself.
+        # equals the partition's block count.  A partial whose count c
+        # disagrees with that already contains the pattern and never
+        # recovers; drop such entries, and those over budget, before
+        # reducing.  The root's ground set is empty, so there only the
+        # budget applies and `dp` checks c itself.
         at_root = t == self.ntd.root
+        budget = self.budget
         for key, wps in list(table.items()):
-            if not at_root:
-                want = self.target_blocks(key)
-                filtered = {
-                    p: w
-                    for p, w in wps.entries.items()
-                    if p.block_count() == want
-                }
-                if not filtered:
-                    del table[key]
-                    continue
-                if len(filtered) != len(wps.entries):
-                    wps = WeightedPartitionSet(wps.ground, filtered)
+            want = key[-1]
+            filtered = {
+                p: w
+                for p, w in wps.entries.items()
+                if w <= budget and (at_root or p.block_count() == want)
+            }
+            if not filtered:
+                del table[key]
+                continue
+            if len(filtered) != len(wps.entries):
+                wps = WeightedPartitionSet(wps.ground, filtered)
             reduced = wps.reduce()
             assert len(reduced) <= 1 << len(reduced.ground)
             table[key] = reduced
@@ -211,38 +232,12 @@ def _accumulate(table: dict, key, wps: WeightedPartitionSet) -> None:
     table[key] = wps if prev is None else prev.union(wps)
 
 
-def _deepen(g, ntd, stats, budget, one_pass, target_blocks) -> int | None:
-    """The budget loop of solve_c4 and solve_paw.
-
-    With a budget, one pass decides it.  Without one, budgets 0, 1, ... are
-    tried in turn, so the first pass that finds a solution finds the minimum.
-    """
-    v0 = g.n
-    for t, bag in enumerate(ntd.bags):
-        if bag and v0 not in bag:
-            raise ValueError(
-                "decomposition lacks the universal-vertex property: "
-                f"non-empty bag at node {t} misses vertex {v0}"
-            )
-    ctxs = [_NodeCtx(g, v0, bag) for bag in ntd.bags]
-    for k in range(g.n + 1) if budget is None else (budget,):
-        run = _Run(g, ntd, ctxs, k, target_blocks, stats)
-        result = one_pass(run)
-        if stats is not None:
-            stats["max_partition_set_size"] = max(
-                stats.get("max_partition_set_size", 0), run.max_pset
-            )
-        if result is not None or budget is not None:
-            return result
-    raise AssertionError("deleting every vertex is always feasible")
-
-
 # ---------------------------------------------------------------------------
 # Deletion to C4-topological-minor-free.
 #
 # Key: (kept bag mask, selected-v0-edge mask, edges currently in a triangle,
-# kept vertices, kept edges, kept triangles).  The edge set uses vertex-id
-# pairs so it survives bag changes untouched.
+# component count c = kept vertices - kept edges + kept triangles).  The edge
+# set uses vertex-id pairs so it survives bag changes untouched.
 
 
 def solve_c4(
@@ -255,30 +250,14 @@ def solve_c4(
 
     `ntd` must be a nice decomposition of g plus a universal vertex (id g.n)
     present in every non-empty bag.  With a budget, returns the minimum if it
-    is at most the budget, else None; without one, iterates budgets upward
-    and always returns the minimum.
+    is at most the budget, else None; without one, always returns the
+    minimum.  Either way it is a single pass.
     """
-    return _deepen(g, ntd, stats, budget, _c4_pass, _c4_blocks)
-
-
-def _c4_blocks(key) -> int:
-    _, _, _, i, j, l = key
-    return i - j + l
+    return _c4_pass(_Run(g, ntd, budget, stats))
 
 
 def _c4_pass(run: _Run) -> int | None:
-    root_table = run.dp(
-        (0, 0, frozenset(), 0, 0, 0), _c4_introduce, _c4_forget, _c4_join
-    )
-    best = None
-    for (kept, s0, redges, i, j, l), wps in root_table.items():
-        assert kept == 0 and s0 == 0 and not redges
-        if l != 1 + j - i or not wps.entries:
-            continue
-        k = run.g.n + 1 - i
-        if best is None or k < best:
-            best = k
-    return best
+    return run.dp((0, 0, frozenset(), 0), _c4_introduce, _c4_forget, _c4_join)
 
 
 def _c4_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
@@ -286,13 +265,11 @@ def _c4_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
     v = run.ntd.vertex[t]
     v0 = run.v0
     out: dict = {}
-    for (kept_c, s0_c, redges, i, j, l), wps in child.items():
+    for (kept_c, s0_c, redges, c), wps in child.items():
         kept = _insert_bit(kept_c, pos)
         s0 = _insert_bit(s0_c, pos)
-        if v != v0 and not run.too_deep(t, i):
-            _accumulate(out, (kept, s0, redges, i, j, l), wps)
-        if run.too_deep(t, i + 1):
-            continue
+        if v != v0:
+            _accumulate(out, (kept, s0, redges, c), wps.shift(1))
         choices = (False,) if v == v0 else (False, True)
         for pick_v0_edge in choices:
             # Keeping selected v0-edges pairwise non-adjacent loses nothing:
@@ -319,61 +296,47 @@ def _c4_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
             # An edge gaining a second triangle would form a diamond.
             if any(e in redges for e in new_tris):
                 continue
-            key = (
-                kept_p,
-                s0_p,
-                redges | new_tris,
-                i + 1,
-                j + len(nbr_vs),
-                l + d3,
-            )
-            _accumulate(out, key, wps.ins([v]).glue(nbr_vs + [v]))
+            key = (kept_p, s0_p, redges | new_tris, c + 1 - len(nbr_vs) + d3)
+            # `glue` adds v as a fresh singleton before merging it in.
+            _accumulate(out, key, wps.glue(nbr_vs + [v]))
     return out
 
 
 def _c4_forget(run: _Run, t: int, cpos: int, child: dict) -> dict:
     v = run.ntd.vertex[t]
     out: dict = {}
-    for (kept_c, s0_c, redges, i, j, l), wps in child.items():
+    for (kept_c, s0_c, redges, c), wps in child.items():
         kept = _remove_bit(kept_c, cpos)
         s0 = _remove_bit(s0_c, cpos)
         if not kept_c >> cpos & 1:
-            _accumulate(out, (kept, s0, redges, i, j, l), wps)
+            _accumulate(out, (kept, s0, redges, c), wps)
             continue
         rem = frozenset(e for e in redges if v not in e)
-        _accumulate(out, (kept, s0, rem, i, j, l), _project(run, t, wps, v))
+        _accumulate(out, (kept, s0, rem, c), _project(run, t, wps, v))
     return out
 
 
 def _c4_join(run: _Run, t: int, left: dict, right: dict) -> dict:
     ctx = run.ctxs[t]
     grouped: dict[tuple[int, int], list] = {}
-    for (kept, s0, redges, i, j, l), wps in right.items():
-        grouped.setdefault((kept, s0), []).append((redges, i, j, l, wps))
+    for (kept, s0, redges, c), wps in right.items():
+        grouped.setdefault((kept, s0), []).append((redges, c, wps))
     out: dict = {}
-    for (kept, s0, redges1, i1, j1, l1), wps1 in left.items():
+    for (kept, s0, redges1, c1), wps1 in left.items():
         bucket = grouped.get((kept, s0))
         if not bucket:
             continue
         info = ctx.hinfo(kept, s0)
-        nbag = bin(kept).count("1")
-        for redges2, i2, j2, l2, wps2 in bucket:
+        # Bag vertices, edges and triangles are counted by both sides.
+        shared_c = info.n - info.m + info.c3
+        deleted = len(ctx.bag) - info.n
+        for redges2, c2, wps2 in bucket:
             # Triangles claimed by both sides must be exactly the bag-level
             # ones; anything else would glue two triangles onto one edge.
             if redges1 & redges2 != info.tri_edges:
                 continue
-            i = i1 + i2 - nbag
-            if run.too_deep(t, i):
-                continue
-            key = (
-                kept,
-                s0,
-                redges1 | redges2,
-                i,
-                j1 + j2 - info.m,
-                l1 + l2 - info.c3,
-            )
-            _accumulate(out, key, wps1.join(wps2))
+            key = (kept, s0, redges1 | redges2, c1 + c2 - shared_c)
+            _accumulate(out, key, wps1.join(wps2).shift(-deleted))
     return out
 
 
@@ -382,7 +345,7 @@ def _c4_join(run: _Run, t: int, left: dict, right: dict) -> dict:
 #
 # Per-vertex labels: 0 deleted, 1 forest part, 2/3/4 cycle part with current
 # internal degree 0/1/2.  Key: (labels, selected-v0-edge mask, forest
-# vertices, forest edges, cycle vertices).
+# component count c = forest vertices - forest edges).
 
 _DEL, _FOREST, _CYC0, _CYC1, _CYC2 = range(5)
 
@@ -394,12 +357,7 @@ def solve_paw(
     budget: int | None = None,
 ) -> int | None:
     """Minimum deletions making g paw-TM-free; see solve_c4 for the contract."""
-    return _deepen(g, ntd, stats, budget, _paw_pass, _paw_blocks)
-
-
-def _paw_blocks(key) -> int:
-    _, _, i, j, _ = key
-    return i - j
+    return _paw_pass(_Run(g, ntd, budget, stats))
 
 
 def _forest_mask(labels: tuple[int, ...]) -> int:
@@ -407,16 +365,7 @@ def _forest_mask(labels: tuple[int, ...]) -> int:
 
 
 def _paw_pass(run: _Run) -> int | None:
-    root_table = run.dp(((), 0, 0, 0, 0), _paw_introduce, _paw_forget, _paw_join)
-    best = None
-    for (labels, s0, i, j, l), wps in root_table.items():
-        assert labels == () and s0 == 0
-        if j != i - 1 or not wps.entries:
-            continue
-        k = run.g.n + 1 - (i + l)
-        if best is None or k < best:
-            best = k
-    return best
+    return run.dp(((), 0, 0), _paw_introduce, _paw_forget, _paw_join)
 
 
 def _paw_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
@@ -425,18 +374,18 @@ def _paw_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
     is_v0 = v == run.v0
     plain_nbrs = [q if q < pos else q - 1 for q in _bits(ctx.adj[pos])]
     out: dict = {}
-    for (labels_c, s0_c, i, j, l), wps in child.items():
+    for (labels_c, s0_c, c), wps in child.items():
         s0 = _insert_bit(s0_c, pos)
-        if not is_v0 and not run.too_deep(t, i + l):
+        if not is_v0:
             _accumulate(
-                out, (insert_at(labels_c, pos, _DEL), s0, i, j, l), wps
+                out, (insert_at(labels_c, pos, _DEL), s0, c), wps.shift(1)
             )
 
         forest_adjacent = [q for q in plain_nbrs if labels_c[q] == _FOREST]
         cycle_adjacent = [q for q in plain_nbrs if labels_c[q] >= _CYC0]
 
         # Forest case: no plain edge may run into the cycle part.
-        if not cycle_adjacent and not run.too_deep(t, i + 1 + l):
+        if not cycle_adjacent:
             choices = (False,) if is_v0 else (False, True)
             for pick_v0_edge in choices:
                 labels = insert_at(labels_c, pos, _FOREST)
@@ -445,8 +394,9 @@ def _paw_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
                 if not info.is_forest:
                     continue
                 nbr_vs = [ctx.bag[q] for q in _bits(info.adj[pos])]
-                key = (labels, s0_p, i + 1, j + len(nbr_vs), l)
-                _accumulate(out, key, wps.ins([v]).glue(nbr_vs + [v]))
+                key = (labels, s0_p, c + 1 - len(nbr_vs))
+                # `glue` adds v as a fresh singleton before merging it in.
+                _accumulate(out, key, wps.glue(nbr_vs + [v]))
 
         # Cycle case: neighbors already in the cycle part gain one degree.
         if (
@@ -454,7 +404,6 @@ def _paw_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
             and not forest_adjacent
             and len(cycle_adjacent) <= 2
             and all(labels_c[q] in (_CYC0, _CYC1) for q in cycle_adjacent)
-            and not run.too_deep(t, i + l + 1)
         ):
             upd = list(labels_c)
             for q in cycle_adjacent:
@@ -462,14 +411,14 @@ def _paw_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
             labels = insert_at(
                 tuple(upd), pos, _CYC0 + len(cycle_adjacent)
             )
-            _accumulate(out, (labels, s0, i, j, l + 1), wps)
+            _accumulate(out, (labels, s0, c), wps)
     return out
 
 
 def _paw_forget(run: _Run, t: int, cpos: int, child: dict) -> dict:
     v = run.ntd.vertex[t]
     out: dict = {}
-    for (labels_c, s0_c, i, j, l), wps in child.items():
+    for (labels_c, s0_c, c), wps in child.items():
         label = labels_c[cpos]
         if label in (_CYC0, _CYC1):
             continue  # a cycle vertex leaves the bag only once closed
@@ -477,7 +426,7 @@ def _paw_forget(run: _Run, t: int, cpos: int, child: dict) -> dict:
         s0 = _remove_bit(s0_c, cpos)
         if label == _FOREST:
             wps = _project(run, t, wps, v)
-        _accumulate(out, (labels, s0, i, j, l), wps)
+        _accumulate(out, (labels, s0, c), wps)
     return out
 
 
@@ -487,20 +436,19 @@ def _paw_join(run: _Run, t: int, left: dict, right: dict) -> dict:
         return tuple(min(x, _CYC0) for x in labels)
 
     grouped: dict[tuple, list] = {}
-    for (labels, s0, i, j, l), wps in right.items():
-        grouped.setdefault((kind_key(labels), s0), []).append(
-            (labels, i, j, l, wps)
-        )
+    for (labels, s0, c), wps in right.items():
+        grouped.setdefault((kind_key(labels), s0), []).append((labels, c, wps))
     out: dict = {}
-    for (labels1, s0, i1, j1, l1), wps1 in left.items():
+    for (labels1, s0, c1), wps1 in left.items():
         bucket = grouped.get((kind_key(labels1), s0))
         if not bucket:
             continue
         cyc_positions = [p for p, x in enumerate(labels1) if x >= _CYC0]
         cyc_mask = sum(1 << p for p in cyc_positions)
+        # Bag forest vertices and edges are counted by both sides.
         info = ctx.hinfo(_forest_mask(labels1), s0)
-        n_forest = sum(1 for x in labels1 if x == _FOREST)
-        for labels2, i2, j2, l2, wps2 in bucket:
+        deleted = labels1.count(_DEL)
+        for labels2, c2, wps2 in bucket:
             merged = list(labels1)
             ok = True
             for p in cyc_positions:
@@ -513,10 +461,6 @@ def _paw_join(run: _Run, t: int, left: dict, right: dict) -> dict:
                 merged[p] = _CYC0 + z
             if not ok:
                 continue
-            i = i1 + i2 - n_forest
-            l = l1 + l2 - len(cyc_positions)
-            if run.too_deep(t, i + l):
-                continue
-            key = (tuple(merged), s0, i, j1 + j2 - info.m, l)
-            _accumulate(out, key, wps1.join(wps2))
+            key = (tuple(merged), s0, c1 + c2 - (info.n - info.m))
+            _accumulate(out, key, wps1.join(wps2).shift(-deleted))
     return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import FormatError, GuardError
+from .errors import FormatError, GuardError, InvalidDecomposition
 from .graph import Graph
 
 
@@ -247,15 +247,13 @@ class NiceTreeDecomposition:
     the root is the last node.  Bags are sorted tuples.
     """
 
-    __slots__ = ("kinds", "vertex", "bags", "children", "subtree_size")
+    __slots__ = ("kinds", "vertex", "bags", "children")
 
     def __init__(self):
         self.kinds: list[str] = []
         self.vertex: list[int | None] = []
         self.bags: list[tuple[int, ...]] = []
         self.children: list[tuple[int, ...]] = []
-        #: |V_t| per node: number of graph vertices in the subtree's graph.
-        self.subtree_size: list[int] = []
 
     def _append(
         self, kind: str, vertex: int | None, bag: tuple[int, ...], children: tuple[int, ...]
@@ -264,19 +262,6 @@ class NiceTreeDecomposition:
         self.vertex.append(vertex)
         self.bags.append(bag)
         self.children.append(children)
-        if kind == LEAF:
-            size = 0
-        elif kind == INTRODUCE:
-            size = self.subtree_size[children[0]] + 1
-        elif kind == FORGET:
-            size = self.subtree_size[children[0]]
-        else:
-            size = (
-                self.subtree_size[children[0]]
-                + self.subtree_size[children[1]]
-                - len(bag)
-            )
-        self.subtree_size.append(size)
         return len(self.kinds) - 1
 
     @property
@@ -322,7 +307,6 @@ class NiceTreeDecomposition:
                 assert self.bags[c1] == self.bags[c2] == self.bags[t]
                 assert vts[c1] & vts[c2] == bag, "join subtrees overlap beyond bag"
                 vts.append(vts[c1] | vts[c2])
-            assert self.subtree_size[t] == len(vts[t])
         assert vts[self.root] == frozenset(range(g.n))
         assert seen_forgotten == set(range(g.n))
         # Edge coverage: both endpoints share a bag at the introduce of the
@@ -362,12 +346,15 @@ def _rooted_children(td: TreeDecomposition, root: int) -> list[list[int]]:
 def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
     """Convert a decomposition to nice form of the same width.
 
-    Raises ValueError, listing every violation, when `td` is not a valid
-    decomposition of g; this is the only validation a solve runs.
+    Raises InvalidDecomposition (a ValueError), listing every violation,
+    when `td` is not a valid decomposition of g; this is the only validation
+    a solve runs.
     """
     violations = validate_td(g, td)
     if violations:
-        raise ValueError("invalid tree decomposition: " + "; ".join(violations))
+        raise InvalidDecomposition(
+            "invalid tree decomposition: " + "; ".join(violations)
+        )
     nice = NiceTreeDecomposition()
     if td.num_nodes == 0:
         nice._append(LEAF, None, (), ())

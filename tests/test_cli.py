@@ -113,6 +113,34 @@ class TestSolve:
         assert code == EXIT_OK
         assert "answer=0" in capsys.readouterr().out
 
+    def test_supplied_td_is_validated_once(self, demo_dir, tmp_path, capsys, monkeypatch):
+        import hitminor.cli as cli
+        import hitminor.treedecomp as td_mod
+
+        calls = []
+        original = td_mod.validate_td
+
+        def counting(g, td):
+            calls.append(1)
+            return original(g, td)
+
+        monkeypatch.setattr(td_mod, "validate_td", counting)
+        monkeypatch.setattr(cli, "validate_td", counting, raising=False)
+        graph = str(demo_dir / "p5.gr")
+        good = tmp_path / "good.td"
+        assert main(["td", "--graph", graph, "-o", str(good)]) == EXIT_OK
+        assert main(["solve", "--pattern", "p3", "--graph", graph, "--td", str(good)]) == EXIT_OK
+        assert len(calls) == 1
+        # One bag with the first two vertices of the path: vertices 2..4
+        # (0-based, as messages number them) are in no bag.
+        bad = tmp_path / "bad.td"
+        bad.write_text("s td 1 2 5\nb 1 1 2\n")
+        capsys.readouterr()
+        code = main(["solve", "--pattern", "p3", "--graph", graph, "--td", str(bad)])
+        assert code == EXIT_FORMAT
+        assert "vertex 2 is in no bag" in capsys.readouterr().err
+        assert len(calls) == 2
+
     def test_chair_routes_to_oracle(self, demo_dir, capsys):
         code = main(["solve", "--pattern", "chair", "--graph", str(demo_dir / "p5.gr")])
         assert code == EXIT_OK

@@ -25,6 +25,7 @@ from hitminor import (
     solve_k1s,
     solve_p3,
     solve_p4,
+    solve_paw,
 )
 from hitminor.oracle import min_deletion_bruteforce
 
@@ -183,6 +184,16 @@ class TestStructuralProperties:
             for p in SOLVER_PATTERNS:
                 assert minimize(both, p) == minimize(a, p) + minimize(b, p)
 
+    def test_component_additivity_above_oracle_guard(self):
+        # The unions have 16-24 vertices, beyond the oracle's reach.
+        rng = random.Random(23)
+        for _ in range(4):
+            a = random_graph(rng.randrange(8, 13), 0.3, rng)
+            b = random_graph(rng.randrange(8, 13), 0.3, rng)
+            both = disjoint_union(a, b)
+            for p in (C4, PAW):
+                assert minimize(both, p) == minimize(a, p) + minimize(b, p)
+
     def test_pattern_dominance(self):
         # If pattern A embeds in pattern B (as a topological minor), freedom
         # from A is the stronger demand, so its deletion number dominates.
@@ -324,9 +335,51 @@ class TestDeadKeysStayAbsent:
             assert seen
             for t, table in seen:
                 ctx = _NodeCtx(g, v0, ntd.bags[t])
-                for (kept, s0, _, _, _, _), wps in table.items():
+                for (kept, s0, _, _), wps in table.items():
                     assert ctx.hinfo(kept, s0).c4_free
                     assert len(wps) <= 1 << len(wps.ground)
+
+
+class TestSinglePass:
+    """C4 and paw run one weighted pass, whatever the answer or budget."""
+
+    @pytest.mark.parametrize("pattern", [C4, PAW], ids=["c4", "paw"])
+    def test_minimize_runs_one_pass(self, monkeypatch, pattern):
+        import hitminor.solvers.connectivity as conn
+
+        name = "_c4_pass" if pattern is C4 else "_paw_pass"
+        original = getattr(conn, name)
+        calls = []
+
+        def counted(run):
+            calls.append(1)
+            return original(run)
+
+        monkeypatch.setattr(conn, name, counted)
+        for g in (complete_graph(5), complete_graph(6)):
+            calls.clear()
+            assert minimize(g, pattern) >= 2
+            assert len(calls) == 1
+
+    def test_budget_contract_above_oracle_guard(self):
+        from hitminor.treedecomp import lift_v0
+
+        rng = random.Random(77)
+        checked = 0
+        while checked < 20:
+            n = rng.randrange(16, 23)
+            g = random_graph(n, rng.uniform(1.5, 3.0) / n, rng)
+            td = heuristic_td(g)
+            if td.width > 5:
+                continue
+            checked += 1
+            ntd = lift_v0(make_nice(td, g), g.n)
+            for runner in (solve_c4, solve_paw):
+                m = runner(g, ntd)
+                assert runner(g, ntd, budget=m) == m
+                assert runner(g, ntd, budget=m + 1) == m
+                if m > 0:
+                    assert runner(g, ntd, budget=m - 1) is None
 
 
 class TestDecompositionPipeline:
