@@ -1,0 +1,77 @@
+"""Print the heuristic tree decomposition of a fixed, seeded graph set, one
+line per graph.
+
+Run it on two checkouts and diff the outputs to check that a change to
+`heuristic_td` keeps every elimination order, bag and tree edge:
+
+    PYTHONPATH=src python scripts/td_snapshot.py > td.txt
+
+Each line is: name, n, m, width, node count, and a SHA-256 prefix of the
+bags (each sorted, in node order) and the tree edges (in the order
+returned).  Graphs: the instances of `answer_snapshot.py` (200 G(n <= 14),
+the ten frozen acceptance instances, the 3x12 grid, G(18, 0.3)), 100
+G(n <= 40, p <= 0.5) from `random.Random(2025)`, grids of up to 600
+vertices, bandwidth-2..4 graphs and random recursive trees of 50-600
+vertices.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+from answer_snapshot import instances as answer_instances
+from answer_snapshot import random_graph
+from hitminor import Graph, heuristic_td
+from hitminor.graph import grid_graph
+
+
+def bandwidth_graph(n: int, b: int, p: float, rng: random.Random) -> Graph:
+    """The path 0-1-...-(n-1) plus each pair at distance 2..b with
+    probability p."""
+    return Graph(
+        n,
+        [
+            (u, u + d)
+            for u in range(n)
+            for d in range(1, b + 1)
+            if u + d < n and (d == 1 or rng.random() < p)
+        ],
+    )
+
+
+def random_tree(n: int, rng: random.Random) -> Graph:
+    """Random recursive tree: vertex i hangs below a uniform earlier vertex."""
+    return Graph(n, [(rng.randrange(i), i) for i in range(1, n)])
+
+
+def graphs():
+    for name, g, _ in answer_instances():
+        yield name, g
+    rng = random.Random(2025)
+    for idx in range(100):
+        n = rng.randrange(0, 41)
+        yield f"gnp40#{idx}", random_graph(n, rng.random() * 0.5, rng)
+    for w in (1, 2, 3, 4, 5):
+        for h in (10, 50, 75, 100, 120):
+            if w * h <= 600:
+                yield f"grid{w}x{h}", grid_graph(w, h)
+    for n in (50, 300, 400, 600):
+        for b in (2, 3, 4):
+            for seed in range(3):
+                g = bandwidth_graph(n, b, 0.4, random.Random(seed))
+                yield f"bw{n}-{b}-seed{seed}", g
+        for seed in range(5):
+            yield f"tree{n}-seed{seed}", random_tree(n, random.Random(seed))
+
+
+def main() -> None:
+    for name, g in graphs():
+        td = heuristic_td(g)
+        blob = repr(([tuple(sorted(b)) for b in td.bags], td.edges)).encode()
+        digest = hashlib.sha256(blob).hexdigest()[:16]
+        print(name, g.n, g.m, td.width, td.num_nodes, digest)
+
+
+if __name__ == "__main__":
+    main()

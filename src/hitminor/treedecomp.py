@@ -1,15 +1,21 @@
 """Tree decompositions: validation, construction, and nice normal form.
 
 The heuristic builder uses min-fill elimination (min-degree tie-break, then
-lowest id), which is deterministic and good in practice.  `exact_td_small`
-finds optimal width by dynamic programming over elimination prefixes and is
-guarded to small inputs.  Nice decompositions are rooted binary trees of
-leaf / introduce / forget / join nodes with empty root and leaf bags, stored
-in post-order arrays so traversal never recurses.
+lowest id), which is deterministic and good in practice.  It keeps the key
+(fill, degree, id) of every live vertex in a heap and, after each
+elimination, rescores only the eliminated vertex's neighbours and, when fill
+edges were added, their neighbours (Bodlaender & Koster, "Treewidth
+computations I. Upper bounds", 2010); the bags are the neighbourhoods
+recorded as the game is played.  `exact_td_small` finds optimal width by
+dynamic programming over elimination prefixes, is guarded to small inputs
+and replays its order through the same bag builder.  Nice decompositions are
+rooted binary trees of leaf / introduce / forget / join nodes with empty
+root and leaf bags, stored in post-order arrays so traversal never recurses.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .errors import FormatError, GuardError, InvalidDecomposition
@@ -97,62 +103,83 @@ def validate_td(g: Graph, td: TreeDecomposition) -> list[str]:
     return violations
 
 
-def _td_from_elimination(g: Graph, order: list[int]) -> TreeDecomposition:
-    """Decomposition whose bags are the elimination cliques of `order`."""
-    if g.n == 0:
+def _eliminate(adj: list[set[int]], v: int) -> list[int]:
+    """Eliminate v from the graph `adj`: its neighbours become a clique and
+    lose v.  Returns v's neighbourhood at that moment, sorted."""
+    nbrs = sorted(adj[v])
+    for a in nbrs:
+        row = adj[a]
+        row.update(nbrs)
+        row.discard(a)
+        row.discard(v)
+    return nbrs
+
+
+def _td_from_elimination(
+    order: list[int], eliminated: list[list[int]]
+) -> TreeDecomposition:
+    """Decomposition whose bags are the elimination cliques of `order`;
+    eliminated[i] is the neighbourhood of order[i] when it was eliminated."""
+    if not order:
         return TreeDecomposition(bags=[frozenset()], edges=[])
-    adj = [set(g.neighbors(v)) for v in range(g.n)]
     position = {v: i for i, v in enumerate(order)}
-    bags: list[frozenset[int]] = []
+    bags = [frozenset(nbrs).union((v,)) for v, nbrs in zip(order, eliminated)]
     edges: list[tuple[int, int]] = []
-    neighbors_at_elim: list[list[int]] = []
-    for v in order:
-        nbrs = sorted(adj[v])
-        bags.append(frozenset([v]) | frozenset(nbrs))
-        neighbors_at_elim.append(nbrs)
-        for a in nbrs:
-            adj[a].discard(v)
-            for b in nbrs:
-                if a != b:
-                    adj[a].add(b)
-    for i, nbrs in enumerate(neighbors_at_elim):
+    for i, nbrs in enumerate(eliminated):
         if nbrs:
-            parent = min(position[u] for u in nbrs)
-            edges.append((i, parent))
+            edges.append((i, min(position[u] for u in nbrs)))
         elif i + 1 < len(order):
             # Isolated at elimination time: attach to keep a single tree.
             edges.append((i, i + 1))
     return TreeDecomposition(bags=bags, edges=edges)
 
 
+def _fill(adj: list[set[int]], v: int) -> int:
+    """Number of non-adjacent pairs among v's neighbours."""
+    nbrs = adj[v]
+    d = len(nbrs)
+    return (d * (d - 1) - sum(len(adj[a] & nbrs) for a in nbrs)) // 2
+
+
 def heuristic_td(g: Graph) -> TreeDecomposition:
-    """Min-fill elimination ordering; ties by degree, then lowest id."""
+    """Min-fill elimination ordering; ties by degree, then lowest id.
+
+    Every live vertex holds the key (fill, degree, id) in a heap; entries
+    that are no longer a vertex's current key are skipped when popped.
+    Eliminating v changes the degree and fill of its neighbours only, and
+    the fill of a vertex two steps away only through the fill edges just
+    added, so only those vertices are rescored.  The key is a total order,
+    so the result is the one a rescan of every live vertex at each step
+    would give.
+    """
     adj = [set(g.neighbors(v)) for v in range(g.n)]
-    alive = set(range(g.n))
+    key: list[tuple[int, int, int] | None] = [
+        (_fill(adj, v), len(adj[v]), v) for v in range(g.n)
+    ]
+    heap = list(key)
+    heapq.heapify(heap)
     order: list[int] = []
-    while alive:
-        best = None
-        best_key = None
-        for v in sorted(alive):
-            nbrs = adj[v]
-            fill = 0
-            nl = sorted(nbrs)
-            for i, a in enumerate(nl):
-                fill += sum(1 for b in nl[i + 1 :] if b not in adj[a])
-            key = (fill, len(nbrs), v)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = v
-        assert best is not None
-        order.append(best)
-        nbrs = sorted(adj[best])
-        for a in nbrs:
-            adj[a].discard(best)
-            for b in nbrs:
-                if a != b:
-                    adj[a].add(b)
-        alive.discard(best)
-    return _td_from_elimination(g, order)
+    eliminated: list[list[int]] = []
+    while heap:
+        entry = heapq.heappop(heap)
+        v = entry[2]
+        if entry is not key[v]:
+            continue
+        key[v] = None
+        nbrs = _eliminate(adj, v)
+        order.append(v)
+        eliminated.append(nbrs)
+        touched = set(nbrs)
+        # With fill 0 no edge was added: vertices two steps away keep their key.
+        if entry[0]:
+            for a in nbrs:
+                touched |= adj[a]
+        for w in touched:
+            new = (_fill(adj, w), len(adj[w]), w)
+            if new != key[w]:
+                key[w] = new
+                heapq.heappush(heap, new)
+    return _td_from_elimination(order, eliminated)
 
 
 def exact_td_small(g: Graph, limit: int = 16) -> TreeDecomposition:
@@ -225,7 +252,8 @@ def exact_td_small(g: Graph, limit: int = 16) -> TreeDecomposition:
         order.append(pick)
         mask ^= 1 << pick
     order.reverse()
-    td = _td_from_elimination(g, order)
+    adj = [set(g.neighbors(v)) for v in range(n)]
+    td = _td_from_elimination(order, [_eliminate(adj, v) for v in order])
     assert td.width == best[full]
     return td
 

@@ -54,6 +54,25 @@ def star_graph(leaves: int) -> Graph:
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def bandwidth_graph(n: int, b: int, p: float, rng: random.Random) -> Graph:
+    """The path 0-1-...-(n-1) plus each pair at distance 2..b with
+    probability p: bandwidth, hence treewidth, at most b."""
+    return Graph(
+        n,
+        [
+            (u, u + d)
+            for u in range(n)
+            for d in range(1, b + 1)
+            if u + d < n and (d == 1 or rng.random() < p)
+        ],
+    )
+
+
+def random_tree(n: int, rng: random.Random) -> Graph:
+    """Random recursive tree: vertex i hangs below a uniform earlier vertex."""
+    return Graph(n, [(rng.randrange(i), i) for i in range(1, n)])
+
+
 # ---------------------------------------------------------------------------
 # Naive partition algebra: partitions as frozensets of frozensets.
 

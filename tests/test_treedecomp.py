@@ -16,9 +16,51 @@ from hitminor import (
     validate_td,
     write_td,
 )
+from hitminor.graph import disjoint_union, grid_graph
 from hitminor.treedecomp import FORGET, INTRODUCE, LEAF
 
-from corpus import complete_graph, cycle_graph, path_graph, random_graph
+from corpus import (
+    bandwidth_graph,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_graph,
+    random_tree,
+)
+
+
+def full_rescan_min_fill(g: Graph) -> TreeDecomposition:
+    """Reference min-fill: rescan every live vertex at each step, key
+    (fill, degree, id), bags and tree edges from the elimination cliques."""
+    adj = [set(g.neighbors(v)) for v in range(g.n)]
+    alive = set(range(g.n))
+    order: list[int] = []
+    cliques: list[list[int]] = []
+
+    def key(v):
+        nl = sorted(adj[v])
+        fill = sum(b not in adj[a] for i, a in enumerate(nl) for b in nl[i + 1 :])
+        return (fill, len(nl), v)
+
+    while alive:
+        best = min(alive, key=key)
+        nbrs = sorted(adj[best])
+        for a in nbrs:
+            adj[a].discard(best)
+            adj[a].update(b for b in nbrs if b != a)
+        alive.discard(best)
+        order.append(best)
+        cliques.append(nbrs)
+    if not order:
+        return TreeDecomposition(bags=[frozenset()], edges=[])
+    position = {v: i for i, v in enumerate(order)}
+    edges = [
+        (i, min(position[u] for u in nbrs)) if nbrs else (i, i + 1)
+        for i, nbrs in enumerate(cliques)
+        if nbrs or i + 1 < len(order)
+    ]
+    bags = [frozenset([v, *nbrs]) for v, nbrs in zip(order, cliques)]
+    return TreeDecomposition(bags=bags, edges=edges)
 
 
 class TestValidate:
@@ -86,6 +128,45 @@ class TestHeuristic:
             g = random_graph(rng.randrange(0, 20), rng.random() * 0.5, rng)
             td = heuristic_td(g)
             assert validate_td(g, td) == []
+
+    def test_matches_full_rescan_reference(self):
+        rng = random.Random(41)
+        graphs = [Graph(0), Graph(1), Graph(5), Graph(6, [(0, 1), (3, 4)])]
+        graphs += [
+            random_graph(rng.randrange(0, 41), rng.random() * 0.5, rng)
+            for _ in range(300)
+        ]
+        # Disconnected, with isolated vertices.
+        graphs += [
+            disjoint_union(
+                disjoint_union(random_graph(12, 0.3, rng), Graph(3)),
+                cycle_graph(6),
+            )
+            for _ in range(5)
+        ]
+        graphs += [
+            grid_graph(3, 100),
+            grid_graph(4, 75),
+            bandwidth_graph(300, 3, 0.4, random.Random(1)),
+            bandwidth_graph(300, 3, 0.4, random.Random(2)),
+            random_tree(300, random.Random(1)),
+            random_tree(300, random.Random(2)),
+        ]
+        for g in graphs:
+            ref = full_rescan_min_fill(g)
+            td = heuristic_td(g)
+            assert td.bags == ref.bags, (g.n, g.edges())
+            assert td.edges == ref.edges, (g.n, g.edges())
+
+    def test_scales_to_ten_thousand_sparse_vertices(self):
+        bw = bandwidth_graph(10_000, 3, 0.4, random.Random(3))
+        td = heuristic_td(bw)
+        assert validate_td(bw, td) == []
+        assert td.width <= 3
+        tree = random_tree(10_000, random.Random(3))
+        td = heuristic_td(tree)
+        assert validate_td(tree, td) == []
+        assert td.width == 1
 
 
 class TestExact:
