@@ -40,7 +40,7 @@ def main():
         print("   " + "  ".join(row))
     print()
 
-    print("-- decision mode: one pass per k, dropping entries heavier than k")
+    print("-- decision mode: one pass, dropping entries heavier than k")
     g = Graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8) if (u + v) % 3])
     for k in range(5):
         res = solve(SolveRequest(graph=g, pattern=C4, mode="decide", k=k))

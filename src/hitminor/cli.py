@@ -250,7 +250,6 @@ def cmd_bench(args) -> int:
         "instances": solved,
         "pattern": pattern.name,
         "mode": mode,
-        "seed": args.seed,
         "max_peak_table_size": peak,
     }
     print(json.dumps(aggregate, sort_keys=True))
@@ -298,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bench", help="run a corpus of .gr files")
     pb.add_argument("--corpus", required=True)
     pb.add_argument("--pattern", required=True)
-    pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("-k", type=int, default=None, help="decide mode with this budget")
     pb.add_argument("--verify", action="store_true")
     pb.add_argument(

@@ -3,18 +3,23 @@
 Both run one pass of the rank-based dynamic program over a nice decomposition
 of the input augmented with a universal vertex v0 that belongs to every
 non-empty bag.  Partial solutions carry a set of weighted partitions of the
-kept bag vertices (their connectivity classes); a partition's weight is the
-number of vertices the partial solution deletes.  After every node each
-per-key partition set is shrunk to a min-weight representative subset, which
-is what keeps the tables single-exponential in the bag size.  The answer is
-the least weight at the root; with a budget, heavier entries are dropped as
-they appear.
+kept bag vertices (their connectivity classes); a partition's weight counts
+the deleted vertices the partial solution has already forgotten, so each
+deletion is paid once, at its forget node.  After every node each per-key
+partition set is shrunk to a min-weight representative subset, which is what
+keeps the tables single-exponential in the bag size.  The answer is the
+least weight at the root, where every vertex is forgotten; with a budget, an
+entry is dropped as soon as its weight plus its key's deleted bag vertices
+exceeds it.
 
 Correctness rests on a counter rather than on local cycle checks: a kept
 graph whose blocks are edges and triangles (C4-free) with i vertices, j
 edges and l triangles has c = i - j + l components, and a kept forest part
 with i vertices and j edges has c = i - j.  Each key carries that c, so the
-solution is connected exactly when c = 1 at the root.  Connectivity itself is
+solution is connected exactly when c = 1 at the root.  Any other cycle
+leaves more components than c, and entries whose partition disagrees with c
+are dropped; the one local check left is that no edge lies in two triangles
+(a diamond keeps the count right).  Connectivity itself is
 forced by the projection step at forget nodes: a forgotten vertex whose block
 holds no bag vertex can never reach v0, so its entries are dropped (the
 root, where v0 itself is forgotten, is exempt).
@@ -79,7 +84,7 @@ class _HInfo:
     """Bag-level view of a partial solution: kept bag vertices, their plain
     edges, and the selected v0-edges."""
 
-    __slots__ = ("adj", "n", "m", "c3", "tri_edges", "c4_free", "is_forest")
+    __slots__ = ("adj", "n", "m", "c3", "tri_edges")
 
     def __init__(self, ctx: _NodeCtx, kept: int, s0: int):
         v0pos = ctx.v0pos
@@ -100,34 +105,14 @@ class _HInfo:
         self.m = len(edges)
 
         c3 = 0
-        diamond_free = True
         tri_edges: set[tuple[int, int]] = set()
         for p, q in edges:
-            common = adj[p] & adj[q]
-            cnt = bin(common).count("1")
+            cnt = bin(adj[p] & adj[q]).count("1")
             if cnt:
                 tri_edges.add(_vedge(bag[p], bag[q]))
                 c3 += cnt
-                if cnt >= 2:
-                    diamond_free = False
         self.c3 = c3 // 3
         self.tri_edges = frozenset(tri_edges)
-
-        cc = 0
-        seen = 0
-        for p in positions:
-            if seen >> p & 1:
-                continue
-            cc += 1
-            frontier = 1 << p
-            while frontier:
-                seen |= frontier
-                nxt = 0
-                for q in _bits(frontier):
-                    nxt |= adj[q]
-                frontier = nxt & ~seen
-        self.c4_free = diamond_free and self.n - self.m + self.c3 == cc
-        self.is_forest = self.m == self.n - cc
 
 
 def _vedge(a: int, b: int) -> tuple[int, int]:
@@ -150,7 +135,8 @@ def _project(run: _Run, t: int, wps: WeightedPartitionSet, v: int) -> WeightedPa
 class _Run:
     """State of one solve, which is a single pass: the decomposition, its
     per-node bag geometry and the budget.  Table keys end with the component
-    count c; partition weights count the deleted vertices of the subtree."""
+    count c; a partition's weight counts the deleted vertices the subtree has
+    forgotten, and the budget test adds the key's deleted bag vertices."""
 
     __slots__ = ("v0", "ntd", "ctxs", "budget", "stats", "max_pset")
 
@@ -170,16 +156,18 @@ class _Run:
         self.stats = stats
         self.max_pset = 0
 
-    def dp(self, leaf_key, introduce, forget, join) -> int | None:
+    def dp(self, leaf_key, introduce, forget, join, bag_deleted) -> int | None:
         """Run the engine with the solver's hooks bound to this run and
-        return the least weight of a connected (c == 1) root entry."""
+        return the least weight of a connected (c == 1) root entry.
+        `bag_deleted(bag_size, key)` counts a key's deleted bag vertices; it
+        is bound here, not stored, so the run holds no reference to itself."""
         root_table = run_dp(
             self.ntd,
             lambda: {leaf_key: WeightedPartitionSet.base()},
             partial(introduce, self),
             partial(forget, self),
             partial(join, self),
-            finish=self.finish_node,
+            finish=partial(self.finish_node, bag_deleted),
             stats=self.stats,
         )
         if self.stats is not None:
@@ -196,18 +184,20 @@ class _Run:
             default=None,
         )
 
-    def finish_node(self, t: int, table: dict) -> None:
+    def finish_node(self, bag_deleted, t: int, table: dict) -> None:
         # Every component of a viable partial holds a bag vertex (forgetting
         # the last one is blocked by the projection), so its component count
         # equals the partition's block count.  A partial whose count c
         # disagrees with that already contains the pattern and never
         # recovers; drop such entries, and those over budget, before
         # reducing.  The root's ground set is empty, so there only the
-        # budget applies and `dp` checks c itself.
+        # budget applies and `dp` checks c itself.  This is the only cycle
+        # check; see the module docstring.
         at_root = t == self.ntd.root
-        budget = self.budget
+        bag_size = len(self.ntd.bags[t])
         for key, wps in list(table.items()):
             want = key[-1]
+            budget = self.budget - bag_deleted(bag_size, key)
             filtered = {
                 p: w
                 for p, w in wps.entries.items()
@@ -257,7 +247,13 @@ def solve_c4(
 
 
 def _c4_pass(run: _Run) -> int | None:
-    return run.dp((0, 0, frozenset(), 0), _c4_introduce, _c4_forget, _c4_join)
+    return run.dp(
+        (0, 0, frozenset(), 0), _c4_introduce, _c4_forget, _c4_join, _c4_bag_deleted
+    )
+
+
+def _c4_bag_deleted(bag_size: int, key) -> int:
+    return bag_size - bin(key[0]).count("1")
 
 
 def _c4_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
@@ -269,7 +265,7 @@ def _c4_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
         kept = _insert_bit(kept_c, pos)
         s0 = _insert_bit(s0_c, pos)
         if v != v0:
-            _accumulate(out, (kept, s0, redges, c), wps.shift(1))
+            _accumulate(out, (kept, s0, redges, c), wps)
         choices = (False,) if v == v0 else (False, True)
         for pick_v0_edge in choices:
             # Keeping selected v0-edges pairwise non-adjacent loses nothing:
@@ -280,25 +276,25 @@ def _c4_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
             kept_p = kept | 1 << pos
             s0_p = s0 | (1 << pos if pick_v0_edge else 0)
             info = ctx.hinfo(kept_p, s0_p)
-            if not info.c4_free:
+            nbr_mask = info.adj[pos]
+            nbr_pos = _bits(nbr_mask)
+            # Each neighbour's partners among v's other neighbours.  Two
+            # partners would put edge vq into two new triangles: a diamond.
+            partners = [info.adj[q] & nbr_mask for q in nbr_pos]
+            if any(m & (m - 1) for m in partners):
                 continue
-            nbr_pos = _bits(info.adj[pos])
-            nbr_vs = [ctx.bag[q] for q in nbr_pos]
             new_tris: set[tuple[int, int]] = set()
-            d3 = 0
-            for a_i, qa in enumerate(nbr_pos):
-                for qb in nbr_pos[a_i + 1 :]:
-                    if info.adj[qa] >> qb & 1:
-                        d3 += 1
-                        new_tris.add(_vedge(v, ctx.bag[qa]))
-                        new_tris.add(_vedge(v, ctx.bag[qb]))
-                        new_tris.add(_vedge(ctx.bag[qa], ctx.bag[qb]))
+            for q, m in zip(nbr_pos, partners):
+                if m:
+                    new_tris.add(_vedge(v, ctx.bag[q]))
+                    new_tris.add(_vedge(ctx.bag[q], ctx.bag[m.bit_length() - 1]))
             # An edge gaining a second triangle would form a diamond.
             if any(e in redges for e in new_tris):
                 continue
-            key = (kept_p, s0_p, redges | new_tris, c + 1 - len(nbr_vs) + d3)
+            d3 = sum(1 for m in partners if m) // 2
+            key = (kept_p, s0_p, redges | new_tris, c + 1 - len(nbr_pos) + d3)
             # `glue` adds v as a fresh singleton before merging it in.
-            _accumulate(out, key, wps.glue(nbr_vs + [v]))
+            _accumulate(out, key, wps.glue([ctx.bag[q] for q in nbr_pos] + [v]))
     return out
 
 
@@ -309,7 +305,7 @@ def _c4_forget(run: _Run, t: int, cpos: int, child: dict) -> dict:
         kept = _remove_bit(kept_c, cpos)
         s0 = _remove_bit(s0_c, cpos)
         if not kept_c >> cpos & 1:
-            _accumulate(out, (kept, s0, redges, c), wps)
+            _accumulate(out, (kept, s0, redges, c), wps.shift(1))
             continue
         rem = frozenset(e for e in redges if v not in e)
         _accumulate(out, (kept, s0, rem, c), _project(run, t, wps, v))
@@ -329,14 +325,13 @@ def _c4_join(run: _Run, t: int, left: dict, right: dict) -> dict:
         info = ctx.hinfo(kept, s0)
         # Bag vertices, edges and triangles are counted by both sides.
         shared_c = info.n - info.m + info.c3
-        deleted = len(ctx.bag) - info.n
         for redges2, c2, wps2 in bucket:
             # Triangles claimed by both sides must be exactly the bag-level
             # ones; anything else would glue two triangles onto one edge.
             if redges1 & redges2 != info.tri_edges:
                 continue
             key = (kept, s0, redges1 | redges2, c1 + c2 - shared_c)
-            _accumulate(out, key, wps1.join(wps2).shift(-deleted))
+            _accumulate(out, key, wps1.join(wps2))
     return out
 
 
@@ -365,7 +360,11 @@ def _forest_mask(labels: tuple[int, ...]) -> int:
 
 
 def _paw_pass(run: _Run) -> int | None:
-    return run.dp(((), 0, 0), _paw_introduce, _paw_forget, _paw_join)
+    return run.dp(((), 0, 0), _paw_introduce, _paw_forget, _paw_join, _paw_bag_deleted)
+
+
+def _paw_bag_deleted(bag_size: int, key) -> int:
+    return key[0].count(_DEL)
 
 
 def _paw_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
@@ -377,9 +376,7 @@ def _paw_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
     for (labels_c, s0_c, c), wps in child.items():
         s0 = _insert_bit(s0_c, pos)
         if not is_v0:
-            _accumulate(
-                out, (insert_at(labels_c, pos, _DEL), s0, c), wps.shift(1)
-            )
+            _accumulate(out, (insert_at(labels_c, pos, _DEL), s0, c), wps)
 
         forest_adjacent = [q for q in plain_nbrs if labels_c[q] == _FOREST]
         cycle_adjacent = [q for q in plain_nbrs if labels_c[q] >= _CYC0]
@@ -391,8 +388,6 @@ def _paw_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
                 labels = insert_at(labels_c, pos, _FOREST)
                 s0_p = s0 | (1 << pos if pick_v0_edge else 0)
                 info = ctx.hinfo(_forest_mask(labels), s0_p)
-                if not info.is_forest:
-                    continue
                 nbr_vs = [ctx.bag[q] for q in _bits(info.adj[pos])]
                 key = (labels, s0_p, c + 1 - len(nbr_vs))
                 # `glue` adds v as a fresh singleton before merging it in.
@@ -426,6 +421,8 @@ def _paw_forget(run: _Run, t: int, cpos: int, child: dict) -> dict:
         s0 = _remove_bit(s0_c, cpos)
         if label == _FOREST:
             wps = _project(run, t, wps, v)
+        elif label == _DEL:
+            wps = wps.shift(1)
         _accumulate(out, (labels, s0, c), wps)
     return out
 
@@ -447,7 +444,6 @@ def _paw_join(run: _Run, t: int, left: dict, right: dict) -> dict:
         cyc_mask = sum(1 << p for p in cyc_positions)
         # Bag forest vertices and edges are counted by both sides.
         info = ctx.hinfo(_forest_mask(labels1), s0)
-        deleted = labels1.count(_DEL)
         for labels2, c2, wps2 in bucket:
             merged = list(labels1)
             ok = True
@@ -462,5 +458,5 @@ def _paw_join(run: _Run, t: int, left: dict, right: dict) -> dict:
             if not ok:
                 continue
             key = (tuple(merged), s0, c1 + c2 - (info.n - info.m))
-            _accumulate(out, key, wps1.join(wps2).shift(-deleted))
+            _accumulate(out, key, wps1.join(wps2))
     return out

@@ -2,10 +2,12 @@
 bounded degree.  P3 is the star K1,2, so its free graphs are those of maximum
 degree one and `solve_p3` is the degree-1 case of `solve_bdd`.
 
-Each table maps a tuple of per-bag-vertex labels to the smallest deletion
-count among partial solutions realizing those labels on the subtree graph.
-Missing keys mean "infeasible".  Bag edges are present in both children of a
-join node, so joins subtract bag-level contributions once.
+Each table maps a tuple of per-bag-vertex labels to the smallest number of
+deleted vertices the subtree has already forgotten, among partial solutions
+realizing those labels on the subtree graph.  A deletion is paid once, when
+its vertex is forgotten, so joins just add the two counts.  Missing keys mean
+"infeasible".  Bag edges are present in both children of a join node, so
+joins subtract bag-level degrees once.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ def _leaf() -> Table:
 # 5 = vertex of a completed triangle.
 
 _P4_DEL, _P4_LEAF_OPEN, _P4_LEAF_DONE, _P4_CENTER, _P4_TRI_OPEN, _P4_TRI_DONE = range(6)
+# A join pairs entries whose bag vertices play the same role on both sides:
+# deleted, star leaf, star center or triangle vertex.
+_P4_ROLE = (0, 1, 1, 2, 3, 3)
 
 
 def solve_p4(g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None) -> int:
@@ -73,7 +78,7 @@ def solve_p4(g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None) ->
 
         out: Table = {}
         for labels, r in child.items():
-            _min_put(out, insert_at(labels, pos, _P4_DEL), r + 1)
+            _min_put(out, insert_at(labels, pos, _P4_DEL), r)
             kept = [p for p in child_nbrs if labels[p] != _P4_DEL]
             if not kept:
                 _min_put(out, insert_at(labels, pos, _P4_LEAF_OPEN), r)
@@ -112,75 +117,50 @@ def solve_p4(g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None) ->
         for labels, r in child.items():
             if labels[cpos] in (_P4_LEAF_OPEN, _P4_TRI_OPEN):
                 continue
-            _min_put(out, remove_at(labels, cpos), r)
+            _min_put(out, remove_at(labels, cpos), r + (labels[cpos] == _P4_DEL))
         return out
 
     def join(t, left: Table, right: Table) -> Table:
         bag = ntd.bags[t]
         nbrs = _bag_positions(g, bag)
-        # Children must agree on deletions and on star centers.
-        def group_key(labels):
-            return tuple(
-                x if x in (_P4_DEL, _P4_CENTER) else -1 for x in labels
-            )
 
-        by_key: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+        def role_key(labels):
+            return tuple(_P4_ROLE[x] for x in labels)
+
+        by_role: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
         for labels, r in right.items():
-            by_key.setdefault(group_key(labels), []).append((labels, r))
+            by_role.setdefault(role_key(labels), []).append((labels, r))
         out: Table = {}
         for labels1, r1 in left.items():
-            key = group_key(labels1)
-            size_s = sum(1 for x in labels1 if x == _P4_DEL)
-            for labels2, r2 in by_key.get(key, ()):
-                merged = list(labels1)
+            for labels2, r2 in by_role.get(role_key(labels1), ()):
                 ok = True
                 for i, (a, b) in enumerate(zip(labels1, labels2)):
-                    if a in (_P4_DEL, _P4_CENTER):
-                        continue
-                    star_a = a in (_P4_LEAF_OPEN, _P4_LEAF_DONE)
-                    star_b = b in (_P4_LEAF_OPEN, _P4_LEAF_DONE)
-                    if star_a != star_b:
-                        ok = False
-                        break
-                    if star_a:
-                        if a == _P4_LEAF_DONE and b == _P4_LEAF_DONE:
-                            # Both attachments must be the single shared bag
-                            # center.
-                            kept = [
-                                p for p in nbrs[i] if labels1[p] != _P4_DEL
-                            ]
-                            if len(kept) != 1 or labels1[kept[0]] != _P4_CENTER:
-                                ok = False
-                                break
-                        merged[i] = (
-                            _P4_LEAF_DONE
-                            if _P4_LEAF_DONE in (a, b)
-                            else _P4_LEAF_OPEN
-                        )
-                    else:
-                        if a == _P4_TRI_DONE and b == _P4_TRI_DONE:
-                            # The completed triangle must sit inside the bag,
-                            # identically on both sides.
-                            cands = [
-                                p
-                                for p in nbrs[i]
-                                if labels1[p] == _P4_TRI_DONE
-                                and labels2[p] == _P4_TRI_DONE
-                            ]
-                            if not any(
-                                g.has_edge(bag[p], bag[q])
-                                for pi, p in enumerate(cands)
-                                for q in cands[pi + 1 :]
-                            ):
-                                ok = False
-                                break
-                        merged[i] = (
-                            _P4_TRI_DONE
-                            if _P4_TRI_DONE in (a, b)
-                            else _P4_TRI_OPEN
-                        )
+                    if a == b == _P4_LEAF_DONE:
+                        # Both attachments must be the single shared bag
+                        # center.
+                        kept = [p for p in nbrs[i] if labels1[p] != _P4_DEL]
+                        if len(kept) != 1 or labels1[kept[0]] != _P4_CENTER:
+                            ok = False
+                            break
+                    elif a == b == _P4_TRI_DONE:
+                        # The completed triangle must sit inside the bag,
+                        # identically on both sides.
+                        cands = [
+                            p
+                            for p in nbrs[i]
+                            if labels1[p] == _P4_TRI_DONE
+                            and labels2[p] == _P4_TRI_DONE
+                        ]
+                        if not any(
+                            g.has_edge(bag[p], bag[q])
+                            for pi, p in enumerate(cands)
+                            for q in cands[pi + 1 :]
+                        ):
+                            ok = False
+                            break
                 if ok:
-                    _min_put(out, tuple(merged), r1 + r2 - size_s)
+                    # Within a role the done label is the larger one.
+                    _min_put(out, tuple(map(max, labels1, labels2)), r1 + r2)
         return out
 
     return run_dp(ntd, _leaf, introduce, forget, join, bound=6, stats=stats)[()]
@@ -207,7 +187,7 @@ def solve_bdd(
         child_nbrs = [p if p < pos else p - 1 for p in nbrs]
         out: Table = {}
         for labels, r in child.items():
-            _min_put(out, insert_at(labels, pos, -1), r + 1)
+            _min_put(out, insert_at(labels, pos, -1), r)
             kept = [p for p in child_nbrs if labels[p] >= 0]
             if len(kept) > d or any(labels[p] + 1 > d for p in kept):
                 continue
@@ -220,7 +200,7 @@ def solve_bdd(
     def forget(t, cpos, child: Table) -> Table:
         out: Table = {}
         for labels, r in child.items():
-            _min_put(out, remove_at(labels, cpos), r)
+            _min_put(out, remove_at(labels, cpos), r + (labels[cpos] < 0))
         return out
 
     def join(t, left: Table, right: Table) -> Table:
@@ -240,7 +220,6 @@ def solve_bdd(
             bucket = by_deleted.get(mask)
             if bucket is None:
                 continue
-            size_s = sum(mask)
             bag_deg = bag_degs[mask]
             for labels2, r2 in bucket:
                 merged = []
@@ -255,7 +234,7 @@ def solve_bdd(
                         break
                     merged.append(f)
                 if ok:
-                    _min_put(out, tuple(merged), r1 + r2 - size_s)
+                    _min_put(out, tuple(merged), r1 + r2)
         return out
 
     return run_dp(ntd, _leaf, introduce, forget, join, bound=d + 2, stats=stats)[()]

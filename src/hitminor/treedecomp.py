@@ -218,7 +218,10 @@ def exact_td_small(g: Graph, limit: int = 16) -> TreeDecomposition:
             frontier = nxt & ~seen
         return bin(outside).count("1")
 
+    # best[mask]: least width of eliminating exactly mask first; last[mask]:
+    # the vertex eliminated last on such an order (lowest id on ties).
     best = [0] * (1 << n)
+    last = [0] * (1 << n)
     for mask in range(1, 1 << n):
         acc = n
         m = mask
@@ -230,27 +233,14 @@ def exact_td_small(g: Graph, limit: int = 16) -> TreeDecomposition:
             cand = max(best[prev], elim_degree(prev, v))
             if cand < acc:
                 acc = cand
+                last[mask] = v
         best[mask] = acc
 
     order: list[int] = []
     mask = full
     while mask:
-        m = mask
-        pick = None
-        pick_key = None
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            prev = mask ^ low
-            cand = max(best[prev], elim_degree(prev, v))
-            key = (cand, v)
-            if pick_key is None or key < pick_key:
-                pick_key = key
-                pick = v
-        assert pick is not None
-        order.append(pick)
-        mask ^= 1 << pick
+        order.append(last[mask])
+        mask ^= 1 << last[mask]
     order.reverse()
     adj = [set(g.neighbors(v)) for v in range(n)]
     td = _td_from_elimination(order, [_eliminate(adj, v) for v in order])

@@ -27,6 +27,7 @@ from hitminor import (
     solve_p4,
     solve_paw,
 )
+from hitminor.graph import c4_condition, connected_components
 from hitminor.oracle import min_deletion_bruteforce
 
 from corpus import (
@@ -308,36 +309,88 @@ class TestPipelines:
                 minimize(g, p)
 
 
+def _bag_view(g: Graph, bag, kept: int, s0: int) -> Graph:
+    """The kept bag vertices of a C4/paw key, their edges in g and the
+    selected edges to the universal vertex v0 = g.n."""
+    v0 = g.n
+    pos = [p for p in range(len(bag)) if kept >> p & 1]
+    index = {bag[p]: i for i, p in enumerate(pos)}
+    plain = [u for u in index if u != v0]
+    edges = [
+        (index[u], index[w]) for u in plain for w in plain if u < w and g.has_edge(u, w)
+    ]
+    if v0 in index:
+        edges += [(index[v0], index[bag[p]]) for p in pos if s0 >> p & 1]
+    return Graph(len(pos), edges)
+
+
+def _stored_tables(monkeypatch, solver, g):
+    """Every (node, table) a C4/paw solve keeps after `finish`."""
+    import hitminor.solvers.connectivity as conn
+    from hitminor.treedecomp import lift_v0
+
+    seen = []
+    original = conn.run_dp
+
+    def spy_run_dp(ntd, *hooks, finish, **kwargs):
+        def spy_finish(t, table):
+            finish(t, table)
+            seen.append((ntd.bags[t], dict(table)))
+
+        return original(ntd, *hooks, finish=spy_finish, **kwargs)
+
+    monkeypatch.setattr(conn, "run_dp", spy_run_dp)
+    solver(g, lift_v0(make_nice(heuristic_td(g), g), g.n))
+    assert seen
+    return seen
+
+
 class TestDeadKeysStayAbsent:
+    """The component count at `finish` is the solvers' only cycle check;
+    these confirm no key with a bad bag view survives it."""
+
     def test_c4_tables_only_hold_viable_bag_views(self, monkeypatch):
-        import hitminor.solvers.connectivity as conn
-        from hitminor.solvers.connectivity import _NodeCtx
-        from hitminor.treedecomp import lift_v0
-
-        seen = []
-        original = conn.run_dp
-
-        def spy_run_dp(ntd, *hooks, finish, **kwargs):
-            def spy_finish(t, table):
-                finish(t, table)
-                seen.append((t, dict(table)))
-
-            return original(ntd, *hooks, finish=spy_finish, **kwargs)
-
-        monkeypatch.setattr(conn, "run_dp", spy_run_dp)
         rng = random.Random(14)
         for _ in range(6):
             g = random_graph(7, 0.45, rng)
-            v0 = g.n
-            ntd = lift_v0(make_nice(heuristic_td(g), g), v0)
-            seen.clear()
-            solve_c4(g, ntd)
-            assert seen
-            for t, table in seen:
-                ctx = _NodeCtx(g, v0, ntd.bags[t])
+            for bag, table in _stored_tables(monkeypatch, solve_c4, g):
                 for (kept, s0, _, _), wps in table.items():
-                    assert ctx.hinfo(kept, s0).c4_free
+                    assert c4_condition(_bag_view(g, bag, kept, s0))
                     assert len(wps) <= 1 << len(wps.ground)
+
+    def test_paw_forest_parts_stay_forests(self, monkeypatch):
+        from hitminor.solvers.connectivity import _forest_mask
+
+        rng = random.Random(15)
+        for _ in range(6):
+            g = random_graph(7, 0.45, rng)
+            for bag, table in _stored_tables(monkeypatch, solve_paw, g):
+                for (labels, s0, _), wps in table.items():
+                    view = _bag_view(g, bag, _forest_mask(labels), s0)
+                    assert view.m == view.n - len(connected_components(view))
+                    assert len(wps) <= 1 << len(wps.ground)
+
+
+class TestNoCyclicGarbage:
+    def test_solve_leaves_no_reference_cycles(self):
+        # Reference cycles would hold every table of a solve until the
+        # cyclic collector runs, raising peak memory.
+        import gc
+
+        rng = random.Random(21)
+        graphs = [random_graph(rng.randrange(5, 10), 0.4, rng) for _ in range(4)]
+        gc.collect()
+        gc.disable()
+        try:
+            for g in graphs:
+                for pattern in (P3, P4, k1s(3), C4, PAW):
+                    opt = solve(SolveRequest(graph=g, pattern=pattern)).answer
+                    for k in {max(opt - 1, 0), opt}:
+                        req = SolveRequest(graph=g, pattern=pattern, mode="decide", k=k)
+                        solve(req)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSinglePass:
