@@ -6,14 +6,16 @@ solvers keeps every answer:
 
     PYTHONPATH=src python scripts/answer_snapshot.py > answers.txt
 
-Each instance is solved in minimize mode, then decided with budget opt-1 and
-opt: C4 and paw through `solve_c4`/`solve_paw` (the returned value, not just
-its truth, is printed), P3, P4, K1,3 and K1,4 through `solve`.  Instances:
-200 graphs G(n <= 14, p <= 0.6) drawn from `random.Random(2024)`, the ten
-frozen instances of the acceptance tests, the 3x12 grid and G(18, 0.3) drawn
-from `random.Random(7)`; the label solvers also get the 2x40, 3x40 and 4x40
-grids.  Lines starting with '#' carry the table sizes of the minimize run
-and of each decide run, which a change may legitimately alter.
+P3, P4, K1,3 and K1,4 are solved in minimize mode only: their solvers run
+the same DP in decide mode and compare its minimum with k.  C4 and paw are
+solved in minimize mode, then decided through `solve_c4`/`solve_paw` with
+budget opt-1 and opt (the returned value, not just its truth, is printed),
+since their budget prunes tables.  Instances: 200 graphs G(n <= 14,
+p <= 0.6) drawn from `random.Random(2024)`, the ten frozen instances of the
+acceptance tests, the 3x12 grid and G(18, 0.3) drawn from `random.Random(7)`;
+the label solvers also get the 2x40, 3x40 and 4x40 grids.  Lines starting
+with '#' carry the table sizes of the minimize run and of each decide run,
+which a change may legitimately alter.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ FROZEN = [
     (9, ((0, 2), (0, 4), (0, 6), (0, 7), (1, 4), (1, 5), (1, 6), (1, 8), (2, 8), (3, 6), (3, 7), (4, 5), (4, 7), (5, 7), (6, 7), (6, 8), (7, 8))),
     (7, ((0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (1, 6), (2, 3), (2, 4), (2, 6), (3, 5), (3, 6))),
     (10, ((0, 2), (0, 4), (0, 5), (0, 6), (0, 9), (1, 4), (1, 8), (2, 9), (3, 5), (3, 7), (3, 9), (4, 6), (4, 7), (4, 9), (5, 6), (5, 7), (5, 8), (5, 9), (6, 9), (7, 9), (8, 9))),
-    (10, ((0, 1), (0, 4), (0, 6), (0, 8), (1, 5), (1, 6), (2, 7), (2, 8), (2, 9), (3, 4), (3, 7), (4, 8), (4, 9), (5, 6), (5, 8), (6, 8), (7, 8))),
+    (10, ((0, 1), (0, 4), (0, 6), (0, 8), (1, 5), (1, 6), (2, 7), (2, 8), (2, 9), (3, 4), (3, 7), (4, 8), (4, 9), (5, 6), (5, 8), (6, 8), (7, 8), (7, 9))),
     (9, ((0, 1), (0, 3), (0, 4), (0, 8), (1, 3), (1, 6), (1, 7), (1, 8), (2, 3), (2, 4), (2, 5), (2, 8), (3, 4), (3, 5), (3, 8), (4, 6), (5, 6))),
     (9, ((0, 7), (0, 8), (1, 4), (1, 6), (1, 8), (2, 4), (2, 5), (3, 4), (3, 5), (3, 6), (4, 6), (5, 7))),
     (8, ((0, 3), (0, 4), (0, 5), (0, 7), (1, 3), (1, 6), (2, 3), (3, 6), (3, 7), (4, 5), (4, 7), (5, 6), (5, 7), (6, 7))),
@@ -72,15 +74,9 @@ def budgets(opt: int) -> list[int]:
 def main() -> None:
     for name, g, connectivity in instances():
         for pname in LABEL_PATTERNS:
-            pattern = parse_pattern(pname)
-            res = solve(SolveRequest(graph=g, pattern=pattern))
-            runs, decided = [res.stats], []
-            for k in budgets(res.answer):
-                dec = solve(SolveRequest(graph=g, pattern=pattern, mode="decide", k=k))
-                runs.append(dec.stats)
-                decided.append(f"decide{k}={dec.answer}")
-            print(name, g.n, g.m, pname, f"min={res.answer}", *decided)
-            print(sizes(name, pname, runs, ("max_table_size",)))
+            res = solve(SolveRequest(graph=g, pattern=parse_pattern(pname)))
+            print(name, g.n, g.m, pname, f"min={res.answer}")
+            print(sizes(name, pname, [res.stats], ("max_table_size",)))
         if not connectivity:
             continue
         ntd = lift_v0(make_nice(heuristic_td(g), g), g.n)

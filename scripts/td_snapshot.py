@@ -9,7 +9,8 @@ Run it on two checkouts and diff the outputs to check that a change to
 Each line is: name, n, m, width, node count, and a SHA-256 prefix of the
 bags (each sorted, in node order) and the tree edges (in the order
 returned).  Graphs: the instances of `answer_snapshot.py` (200 G(n <= 14),
-the ten frozen acceptance instances, the 3x12 grid, G(18, 0.3)), 100
+the ten frozen acceptance instances, the 3x12 grid, G(18, 0.3), the
+2x40, 3x40 and 4x40 grids), 100
 G(n <= 40, p <= 0.5) from `random.Random(2025)`, grids of up to 600
 vertices, bandwidth-2..4 graphs and random recursive trees of 50-600
 vertices.
