@@ -24,8 +24,8 @@ def main():
     p = blocks([[0, 1], [2]])
     q = blocks([[1, 2], [0]])
     print(f"{p} meet {q} = {p.meet(q)}")
-    print(f"{p} join {q} = {p.lattice_join(q)}")
-    print(f"{p} coarsens singletons: {p.coarsens(Partition.singletons((0, 1, 2)))}")
+    print(f"{p} restricted to (0, 2) = {p.restrict((0, 2))}")
+    print(f"{p} lifted onto (0, 1, 2, 3) = {p.lift((0, 1, 2, 3))}")
     print()
 
     print("-- building a set of weighted partitions")

@@ -90,10 +90,9 @@ def _run_instance(
     Returns the report and a mismatch flag.
     """
     started = time.perf_counter()
+    # Built for oracle patterns too, so its budget check covers both paths.
+    req = SolveRequest(graph=g, pattern=pattern, mode=mode, k=k, decomposition=td)
     if pattern.kind in SOLVER_KINDS:
-        req = SolveRequest(
-            graph=g, pattern=pattern, mode=mode, k=k, decomposition=td
-        )
         result = solve(req)
         answer = result.answer
         peak = result.stats.get("max_table_size", 0)
@@ -191,7 +190,7 @@ def cmd_check(args) -> int:
 def cmd_td(args) -> int:
     g = _load_graph(args.graph)
     if args.exact:
-        td = exact_td_small(g, limit=args.exact_limit)
+        td = exact_td_small(g)
     else:
         td = heuristic_td(g)
     text = write_td(td, g.n)
@@ -289,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("td", help="build a tree decomposition")
     pt.add_argument("--graph", required=True)
     pt.add_argument("--exact", action="store_true", help="optimal width (guarded)")
-    pt.add_argument("--exact-limit", type=int, default=16)
     pt.add_argument("-o", "--output", help="write .td here instead of stdout")
     pt.add_argument("--stats", action="store_true", help="width/nodes to stderr")
     pt.set_defaults(func=cmd_td)

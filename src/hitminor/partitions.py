@@ -67,15 +67,6 @@ class Partition:
     def block_count(self) -> int:
         return len(set(self.reps))
 
-    def coarsens(self, other: Partition) -> bool:
-        """True iff every block of `other` lies inside a block of self."""
-        self._check_ground(other)
-        seen: dict[int, int] = {}
-        for mine, theirs in zip(self.reps, other.reps):
-            if seen.setdefault(theirs, mine) != mine:
-                return False
-        return True
-
     # -- lattice operations -------------------------------------------
 
     def meet(self, other: Partition) -> Partition:
@@ -106,18 +97,6 @@ class Partition:
             if root not in lead:
                 lead[root] = e
             out.append(lead[root])
-        return Partition(self.ground, tuple(out))
-
-    def lattice_join(self, other: Partition) -> Partition:
-        """Coarsest common refinement (blockwise intersection)."""
-        self._check_ground(other)
-        lead: dict[tuple[int, int], int] = {}
-        out = []
-        for e, a, b in zip(self.ground, self.reps, other.reps):
-            key = (a, b)
-            if key not in lead:
-                lead[key] = e
-            out.append(lead[key])
         return Partition(self.ground, tuple(out))
 
     # -- ground-set surgery -------------------------------------------
@@ -229,17 +208,6 @@ class WeightedPartitionSet:
 
     def __repr__(self) -> str:
         return f"WeightedPartitionSet(|U|={len(self.ground)}, size={len(self)})"
-
-    def dump(self) -> str:
-        """Debug listing: one entry per line, blocks as sorted id lists,
-        then the weight."""
-        lines = []
-        for p in sorted(self.entries, key=lambda p: p.reps):
-            rendered = " ".join(
-                "{" + ",".join(map(str, b)) + "}" for b in p.blocks()
-            )
-            lines.append(f"{rendered} w={self.entries[p]}")
-        return "\n".join(lines)
 
     def _min_add(self, p: Partition, w: int) -> None:
         prev = self.entries.get(p)

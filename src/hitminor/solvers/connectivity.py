@@ -19,10 +19,12 @@ with i vertices and j edges has c = i - j.  Each key carries that c, so the
 solution is connected exactly when c = 1 at the root.  Any other cycle
 leaves more components than c, and entries whose partition disagrees with c
 are dropped; the one local check left is that no edge lies in two triangles
-(a diamond keeps the count right).  Connectivity itself is
-forced by the projection step at forget nodes: a forgotten vertex whose block
-holds no bag vertex can never reach v0, so its entries are dropped (the
-root, where v0 itself is forgotten, is exempt).
+(a diamond keeps the count right).  Introduce reads the new vertex's bag
+neighbours from one row of the node's bag adjacency bitmasks, and a join
+subtracts once the bag vertices, edges and triangles both sides counted.
+Connectivity itself is forced by the projection step at forget nodes: a
+forgotten vertex whose block holds no bag vertex can never reach v0, so its
+entries are dropped (the root, where v0 itself is forgotten, is exempt).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from functools import partial
 from ..graph import Graph
 from ..partitions import WeightedPartitionSet
 from ..treedecomp import NiceTreeDecomposition
-from .engine import insert_at, remove_at, run_dp
+from .engine import bag_adjacency, bits, insert_at, remove_at, run_dp
 
 
 def _insert_bit(mask: int, pos: int) -> int:
@@ -45,74 +47,15 @@ def _remove_bit(mask: int, pos: int) -> int:
     return low | ((mask >> (pos + 1)) << pos)
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-class _NodeCtx:
-    """Per-node bag geometry, with a cache of bag-level views."""
-
-    __slots__ = ("bag", "v0pos", "adj", "hcache")
-
-    def __init__(self, g: Graph, v0: int, bag: tuple[int, ...]):
-        self.bag = bag
-        index = {v: i for i, v in enumerate(bag)}
-        self.v0pos = index.get(v0)
-        # Plain adjacency among bag vertices, read from g, which has no v0:
-        # v0-edges only enter the solution graph when explicitly selected.
-        self.adj = [
-            0 if v == v0 else sum(1 << index[w] for w in g.neighbors(v) if w in index)
-            for v in bag
-        ]
-        self.hcache: dict[tuple[int, int], _HInfo] = {}
-
-    def hinfo(self, kept: int, s0: int) -> _HInfo:
-        key = (kept, s0)
-        info = self.hcache.get(key)
-        if info is None:
-            info = _HInfo(self, kept, s0)
-            self.hcache[key] = info
-        return info
-
-
-class _HInfo:
-    """Bag-level view of a partial solution: kept bag vertices, their plain
-    edges, and the selected v0-edges."""
-
-    __slots__ = ("adj", "n", "m", "c3", "tri_edges")
-
-    def __init__(self, ctx: _NodeCtx, kept: int, s0: int):
-        v0pos = ctx.v0pos
-        adj = [ctx.adj[p] & kept if kept >> p & 1 else 0 for p in range(len(ctx.bag))]
-        if v0pos is not None and kept >> v0pos & 1:
-            for p in _bits(s0):
-                adj[p] |= 1 << v0pos
-                adj[v0pos] |= 1 << p
-        self.adj = adj
-        bag = ctx.bag
-        positions = _bits(kept)
-        self.n = len(positions)
-        edges = []
-        for p in positions:
-            for q in _bits(adj[p]):
-                if q > p:
-                    edges.append((p, q))
-        self.m = len(edges)
-
-        c3 = 0
-        tri_edges: set[tuple[int, int]] = set()
-        for p, q in edges:
-            cnt = bin(adj[p] & adj[q]).count("1")
-            if cnt:
-                tri_edges.add(_vedge(bag[p], bag[q]))
-                c3 += cnt
-        self.c3 = c3 // 3
-        self.tri_edges = frozenset(tri_edges)
+def _bag_counts(adj: list[int], mask: int) -> tuple[int, int]:
+    """Plain edges and triangles among the bag positions in `mask`."""
+    edges = triangles = 0
+    for p in bits(mask):
+        row = adj[p] & mask
+        edges += row.bit_count()
+        for q in bits(row):
+            triangles += (adj[q] & row).bit_count()
+    return edges // 2, triangles // 6
 
 
 def _vedge(a: int, b: int) -> tuple[int, int]:
@@ -133,12 +76,15 @@ def _project(run: _Run, t: int, wps: WeightedPartitionSet, v: int) -> WeightedPa
 
 
 class _Run:
-    """State of one solve, which is a single pass: the decomposition, its
-    per-node bag geometry and the budget.  Table keys end with the component
-    count c; a partition's weight counts the deleted vertices the subtree has
-    forgotten, and the budget test adds the key's deleted bag vertices."""
+    """State of one solve, which is a single pass: the decomposition, the
+    plain adjacency of every bag (`adj[t][pos]`, a bitmask of bag positions
+    read from g, which has no v0: v0-edges only enter the solution graph
+    when a key selects them) and the budget.  Table keys end with the
+    component count c; a partition's weight counts the deleted vertices the
+    subtree has forgotten, and the budget test adds the key's deleted bag
+    vertices."""
 
-    __slots__ = ("v0", "ntd", "ctxs", "budget", "stats", "max_pset")
+    __slots__ = ("v0", "ntd", "adj", "budget", "stats", "max_pset")
 
     def __init__(self, g, ntd, budget, stats):
         v0 = g.n
@@ -150,7 +96,7 @@ class _Run:
                 )
         self.v0 = v0
         self.ntd = ntd
-        self.ctxs = [_NodeCtx(g, v0, bag) for bag in ntd.bags]
+        self.adj = [bag_adjacency(g, bag) for bag in ntd.bags]
         # No partial deletes more than all n vertices, so n is no bound.
         self.budget = g.n if budget is None else budget
         self.stats = stats
@@ -257,44 +203,47 @@ def _c4_bag_deleted(bag_size: int, key) -> int:
 
 
 def _c4_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
-    ctx = run.ctxs[t]
-    v = run.ntd.vertex[t]
+    adj = run.adj[t]
+    bag = run.ntd.bags[t]
+    v = bag[pos]
     v0 = run.v0
+    bit = 1 << pos
     out: dict = {}
     for (kept_c, s0_c, redges, c), wps in child.items():
         kept = _insert_bit(kept_c, pos)
         s0 = _insert_bit(s0_c, pos)
         if v != v0:
             _accumulate(out, (kept, s0, redges, c), wps)
-        choices = (False,) if v == v0 else (False, True)
-        for pick_v0_edge in choices:
-            # Keeping selected v0-edges pairwise non-adjacent loses nothing:
-            # one edge per final component always suffices, and vertices of
-            # different components are never adjacent.
-            if pick_v0_edge and ctx.adj[pos] & kept & s0:
-                continue
-            kept_p = kept | 1 << pos
-            s0_p = s0 | (1 << pos if pick_v0_edge else 0)
-            info = ctx.hinfo(kept_p, s0_p)
-            nbr_mask = info.adj[pos]
-            nbr_pos = _bits(nbr_mask)
-            # Each neighbour's partners among v's other neighbours.  Two
-            # partners would put edge vq into two new triangles: a diamond.
-            partners = [info.adj[q] & nbr_mask for q in nbr_pos]
-            if any(m & (m - 1) for m in partners):
-                continue
-            new_tris: set[tuple[int, int]] = set()
-            for q, m in zip(nbr_pos, partners):
-                if m:
-                    new_tris.add(_vedge(v, ctx.bag[q]))
-                    new_tris.add(_vedge(ctx.bag[q], ctx.bag[m.bit_length() - 1]))
-            # An edge gaining a second triangle would form a diamond.
-            if any(e in redges for e in new_tris):
-                continue
-            d3 = sum(1 for m in partners if m) // 2
-            key = (kept_p, s0_p, redges | new_tris, c + 1 - len(nbr_pos) + d3)
-            # `glue` adds v as a fresh singleton before merging it in.
-            _accumulate(out, key, wps.glue([ctx.bag[q] for q in nbr_pos] + [v]))
+        # v's kept plain neighbours.  v0's row is empty, and v0 enters first,
+        # into an empty bag, so it has no selected v0-edges to miss.  Those
+        # edges are pairwise non-adjacent, so no triangle holds v0 and both
+        # choices below share these.
+        nbrs = adj[pos] & kept
+        nbr_pos = bits(nbrs)
+        # Each neighbour's partners among v's other neighbours.  Two
+        # partners would put edge vq into two new triangles: a diamond.
+        partners = [adj[q] & nbrs for q in nbr_pos]
+        if any(m & (m - 1) for m in partners):
+            continue
+        new_tris: set[tuple[int, int]] = set()
+        for q, m in zip(nbr_pos, partners):
+            if m:
+                new_tris.add(_vedge(v, bag[q]))
+                new_tris.add(_vedge(bag[q], bag[m.bit_length() - 1]))
+        # An edge gaining a second triangle would form a diamond.
+        if not redges.isdisjoint(new_tris):
+            continue
+        redges_p = redges | new_tris
+        c_p = c + 1 - len(nbr_pos) + sum(1 for m in partners if m) // 2
+        nbr_vs = [bag[q] for q in nbr_pos]
+        # `glue` adds v as a fresh singleton before merging it in.
+        _accumulate(out, (kept | bit, s0, redges_p, c_p), wps.glue(nbr_vs + [v]))
+        # Keeping selected v0-edges pairwise non-adjacent loses nothing:
+        # one edge per final component always suffices, and vertices of
+        # different components are never adjacent.
+        if v != v0 and not nbrs & s0:
+            key = (kept | bit, s0 | bit, redges_p, c_p - 1)
+            _accumulate(out, key, wps.glue(nbr_vs + [v0, v]))
     return out
 
 
@@ -313,22 +262,28 @@ def _c4_forget(run: _Run, t: int, cpos: int, child: dict) -> dict:
 
 
 def _c4_join(run: _Run, t: int, left: dict, right: dict) -> dict:
-    ctx = run.ctxs[t]
-    grouped: dict[tuple[int, int], list] = {}
+    adj = run.adj[t]
+    grouped: dict[tuple[int, int], tuple[int, int, list]] = {}
     for (kept, s0, redges, c), wps in right.items():
-        grouped.setdefault((kept, s0), []).append((redges, c, wps))
+        group = grouped.get((kept, s0))
+        if group is None:
+            # Bag vertices, edges (v0-edges included) and triangles are
+            # counted by both sides.
+            edges, tris = _bag_counts(adj, kept)
+            shared_c = kept.bit_count() - edges - s0.bit_count() + tris
+            group = grouped[kept, s0] = (shared_c, 3 * tris, [])
+        group[2].append((redges, c, wps))
     out: dict = {}
     for (kept, s0, redges1, c1), wps1 in left.items():
-        bucket = grouped.get((kept, s0))
-        if not bucket:
+        group = grouped.get((kept, s0))
+        if group is None:
             continue
-        info = ctx.hinfo(kept, s0)
-        # Bag vertices, edges and triangles are counted by both sides.
-        shared_c = info.n - info.m + info.c3
+        shared_c, tri_edge_count, bucket = group
         for redges2, c2, wps2 in bucket:
-            # Triangles claimed by both sides must be exactly the bag-level
-            # ones; anything else would glue two triangles onto one edge.
-            if redges1 & redges2 != info.tri_edges:
+            # Both sides hold every edge of the bag's triangles, which are
+            # edge-disjoint; any further shared edge would glue two
+            # triangles onto one edge.
+            if len(redges1 & redges2) != tri_edge_count:
                 continue
             key = (kept, s0, redges1 | redges2, c1 + c2 - shared_c)
             _accumulate(out, key, wps1.join(wps2))
@@ -368,14 +323,16 @@ def _paw_bag_deleted(bag_size: int, key) -> int:
 
 
 def _paw_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
-    ctx = run.ctxs[t]
-    v = run.ntd.vertex[t]
-    is_v0 = v == run.v0
-    plain_nbrs = [q if q < pos else q - 1 for q in _bits(ctx.adj[pos])]
+    bag = run.ntd.bags[t]
+    v = bag[pos]
+    v0 = run.v0
+    bit = 1 << pos
+    nbr_pos = bits(run.adj[t][pos])
+    plain_nbrs = [q if q < pos else q - 1 for q in nbr_pos]
     out: dict = {}
     for (labels_c, s0_c, c), wps in child.items():
         s0 = _insert_bit(s0_c, pos)
-        if not is_v0:
+        if v != v0:
             _accumulate(out, (insert_at(labels_c, pos, _DEL), s0, c), wps)
 
         forest_adjacent = [q for q in plain_nbrs if labels_c[q] == _FOREST]
@@ -383,19 +340,18 @@ def _paw_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
 
         # Forest case: no plain edge may run into the cycle part.
         if not cycle_adjacent:
-            choices = (False,) if is_v0 else (False, True)
-            for pick_v0_edge in choices:
-                labels = insert_at(labels_c, pos, _FOREST)
-                s0_p = s0 | (1 << pos if pick_v0_edge else 0)
-                info = ctx.hinfo(_forest_mask(labels), s0_p)
-                nbr_vs = [ctx.bag[q] for q in _bits(info.adj[pos])]
-                key = (labels, s0_p, c + 1 - len(nbr_vs))
-                # `glue` adds v as a fresh singleton before merging it in.
-                _accumulate(out, key, wps.glue(nbr_vs + [v]))
+            labels = insert_at(labels_c, pos, _FOREST)
+            nbr_vs = [bag[q] for q in nbr_pos if labels[q] == _FOREST]
+            key = (labels, s0, c + 1 - len(nbr_vs))
+            # `glue` adds v as a fresh singleton before merging it in.
+            _accumulate(out, key, wps.glue(nbr_vs + [v]))
+            if v != v0:
+                key = (labels, s0 | bit, c - len(nbr_vs))
+                _accumulate(out, key, wps.glue(nbr_vs + [v0, v]))
 
         # Cycle case: neighbors already in the cycle part gain one degree.
         if (
-            not is_v0
+            v != v0
             and not forest_adjacent
             and len(cycle_adjacent) <= 2
             and all(labels_c[q] in (_CYC0, _CYC1) for q in cycle_adjacent)
@@ -428,28 +384,36 @@ def _paw_forget(run: _Run, t: int, cpos: int, child: dict) -> dict:
 
 
 def _paw_join(run: _Run, t: int, left: dict, right: dict) -> dict:
-    ctx = run.ctxs[t]
+    adj = run.adj[t]
+
     def kind_key(labels: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(min(x, _CYC0) for x in labels)
 
-    grouped: dict[tuple, list] = {}
+    grouped: dict[tuple, tuple[int, list]] = {}
     for (labels, s0, c), wps in right.items():
-        grouped.setdefault((kind_key(labels), s0), []).append((labels, c, wps))
+        kinds = kind_key(labels)
+        group = grouped.get((kinds, s0))
+        if group is None:
+            # Bag forest vertices and edges (v0-edges included) are counted
+            # by both sides.
+            forest = _forest_mask(kinds)
+            shared_c = forest.bit_count() - _bag_counts(adj, forest)[0] - s0.bit_count()
+            group = grouped[kinds, s0] = (shared_c, [])
+        group[1].append((labels, c, wps))
     out: dict = {}
     for (labels1, s0, c1), wps1 in left.items():
-        bucket = grouped.get((kind_key(labels1), s0))
-        if not bucket:
+        group = grouped.get((kind_key(labels1), s0))
+        if group is None:
             continue
+        shared_c, bucket = group
         cyc_positions = [p for p, x in enumerate(labels1) if x >= _CYC0]
         cyc_mask = sum(1 << p for p in cyc_positions)
-        # Bag forest vertices and edges are counted by both sides.
-        info = ctx.hinfo(_forest_mask(labels1), s0)
         for labels2, c2, wps2 in bucket:
             merged = list(labels1)
             ok = True
             for p in cyc_positions:
                 # Cycle edges inside the bag are seen by both children.
-                shared = bin(ctx.adj[p] & cyc_mask).count("1")
+                shared = (adj[p] & cyc_mask).bit_count()
                 z = (labels1[p] - _CYC0) + (labels2[p] - _CYC0) - shared
                 if not 0 <= z <= 2:
                     ok = False
@@ -457,6 +421,6 @@ def _paw_join(run: _Run, t: int, left: dict, right: dict) -> dict:
                 merged[p] = _CYC0 + z
             if not ok:
                 continue
-            key = (tuple(merged), s0, c1 + c2 - (info.n - info.m))
+            key = (tuple(merged), s0, c1 + c2 - shared_c)
             _accumulate(out, key, wps1.join(wps2))
     return out

@@ -11,7 +11,29 @@ pending join branch is alive.  Tables are dicts keyed by per-solver labels.
 
 from __future__ import annotations
 
+from ..graph import Graph
 from ..treedecomp import FORGET, INTRODUCE, LEAF, NiceTreeDecomposition
+
+
+def bag_adjacency(g: Graph, bag: tuple[int, ...]) -> list[int]:
+    """For each bag position, the bitmask of the positions of its neighbours
+    in g.  A vertex outside g (the connectivity solvers' universal vertex)
+    gets an empty row."""
+    index = {v: i for i, v in enumerate(bag)}
+    return [
+        sum(1 << index[w] for w in g.neighbors(v) if w in index) if v < g.n else 0
+        for v in bag
+    ]
+
+
+def bits(mask: int) -> list[int]:
+    """The positions of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def insert_at(labels: tuple, pos: int, value) -> tuple:

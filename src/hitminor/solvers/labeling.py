@@ -14,17 +14,9 @@ from __future__ import annotations
 
 from ..graph import Graph
 from ..treedecomp import NiceTreeDecomposition
-from .engine import insert_at, remove_at, run_dp
+from .engine import bag_adjacency, bits, insert_at, remove_at, run_dp
 
 Table = dict[tuple[int, ...], int]
-
-
-def _bag_positions(g: Graph, bag: tuple[int, ...]) -> list[list[int]]:
-    """For each bag position, the positions of its bag neighbors."""
-    index = {v: i for i, v in enumerate(bag)}
-    return [
-        sorted(index[w] for w in g.neighbors(v) if w in index) for v in bag
-    ]
 
 
 def _min_put(table: Table, key: tuple[int, ...], value: int) -> None:
@@ -55,7 +47,7 @@ def solve_p4(g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None) ->
 
     def introduce(t, pos, child: Table) -> Table:
         bag = ntd.bags[t]
-        bagpos = _bag_positions(g, bag)
+        bagpos = [bits(row) for row in bag_adjacency(g, bag)]
         child_nbrs = [p if p < pos else p - 1 for p in bagpos[pos]]
         # For each child position, the child positions of its bag neighbors
         # other than the newly introduced vertex.
@@ -122,7 +114,7 @@ def solve_p4(g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None) ->
 
     def join(t, left: Table, right: Table) -> Table:
         bag = ntd.bags[t]
-        nbrs = _bag_positions(g, bag)
+        nbrs = [bits(row) for row in bag_adjacency(g, bag)]
 
         def role_key(labels):
             return tuple(_P4_ROLE[x] for x in labels)
@@ -183,7 +175,7 @@ def solve_bdd(
         raise ValueError("maximum degree must be non-negative")
 
     def introduce(t, pos, child: Table) -> Table:
-        nbrs = _bag_positions(g, ntd.bags[t])[pos]
+        nbrs = bits(bag_adjacency(g, ntd.bags[t])[pos])
         child_nbrs = [p if p < pos else p - 1 for p in nbrs]
         out: Table = {}
         for labels, r in child.items():
@@ -204,7 +196,7 @@ def solve_bdd(
         return out
 
     def join(t, left: Table, right: Table) -> Table:
-        nbrs = _bag_positions(g, ntd.bags[t])
+        nbrs = [bits(row) for row in bag_adjacency(g, ntd.bags[t])]
         by_deleted: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
         for labels, r in right.items():
             mask = tuple(1 if x < 0 else 0 for x in labels)

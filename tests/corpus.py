@@ -105,13 +105,6 @@ def naive_meet(p, q):
     return frozenset(frozenset(b) for b in blocks if b)
 
 
-def naive_join(p, q):
-    """Coarsest common refinement: blockwise intersections."""
-    return frozenset(
-        bp & bq for bp in p for bq in q if bp & bq
-    )
-
-
 def naive_restrict(p, xs):
     xs = frozenset(xs)
     return frozenset(b & xs for b in p if b & xs)

@@ -88,6 +88,23 @@ class TestSolve:
         )
         assert code == EXIT_USAGE
 
+    def test_oracle_pattern_refuses_negative_budget(self, demo_dir, capsys):
+        code = main(
+            [
+                "solve",
+                "--pattern",
+                "chair",
+                "--graph",
+                str(demo_dir / "p5.gr"),
+                "--mode",
+                "decide",
+                "-k",
+                "-1",
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert "k >= 0" in capsys.readouterr().err
+
     def test_stdin(self, demo_dir, capsys, monkeypatch):
         import io
 
@@ -227,6 +244,11 @@ class TestBench:
         main(["bench", "--corpus", str(demo_dir), "--pattern", "c4"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_oracle_pattern_refuses_negative_budget(self, demo_dir, capsys):
+        code = main(["bench", "--corpus", str(demo_dir), "--pattern", "chair", "-k", "-1"])
+        assert code == EXIT_USAGE
+        assert "k >= 0" in capsys.readouterr().err
 
     def test_malformed_file_fails_only_its_instance(self, demo_dir, capsys):
         (demo_dir / "bad.gr").write_text("p tw 3 1\n1 9\n")

@@ -10,7 +10,6 @@ from corpus import (
     naive_coarsens,
     naive_glue,
     naive_ins,
-    naive_join,
     naive_join_op,
     naive_meet,
     naive_merged,
@@ -50,38 +49,19 @@ class TestLatticeLaws:
     def all4(self):
         return list(all_partitions(self.GROUND))
 
-    def test_coarsens_examples(self):
-        assert blocks([0, 1]).coarsens(blocks([0], [1]))
-        assert not blocks([0], [1]).coarsens(blocks([0, 1]))
-        for p in self.all4():
-            assert p.coarsens(p)
-
-    def test_coarsens_is_partial_order(self):
-        ps = self.all4()
-        for p, q in product(ps, repeat=2):
-            if p.coarsens(q) and q.coarsens(p):
-                assert p == q
-        rng = random.Random(0)
-        for _ in range(300):
-            p, q, r = rng.choice(ps), rng.choice(ps), rng.choice(ps)
-            if p.coarsens(q) and q.coarsens(r):
-                assert p.coarsens(r)
-
     def test_meet_join_laws(self):
         ps = self.all4()
         bottom = Partition.merged(self.GROUND, self.GROUND)
         top = Partition.singletons(self.GROUND)
         for p, q in product(ps, repeat=2):
             m = p.meet(q)
-            j = p.lattice_join(q)
-            assert m == q.meet(p) and j == q.lattice_join(p)
-            assert m.coarsens(p) and m.coarsens(q)
-            assert p.coarsens(j) and q.coarsens(j)
+            assert m == q.meet(p)
+            assert naive_coarsens(blocksof(m), blocksof(p))
+            assert naive_coarsens(blocksof(m), blocksof(q))
         for p in ps:
-            assert p.meet(p) == p and p.lattice_join(p) == p
+            assert p.meet(p) == p
             assert p.meet(top) == p
             assert p.meet(bottom) == bottom
-            assert p.lattice_join(top) == top
 
     def test_associativity_sampled(self):
         ps = self.all4()
@@ -89,19 +69,10 @@ class TestLatticeLaws:
         for _ in range(200):
             p, q, r = rng.choice(ps), rng.choice(ps), rng.choice(ps)
             assert p.meet(q).meet(r) == p.meet(q.meet(r))
-            assert p.lattice_join(q).lattice_join(r) == p.lattice_join(
-                q.lattice_join(r)
-            )
 
     def test_meet_example(self):
         got = blocks([0, 1], [2]).meet(blocks([1, 2], [0]))
         assert got == blocks([0, 1, 2])
-
-    def test_join_example(self):
-        got = blocks([0, 1, 2]).lattice_join(blocks([0, 1], [2]))
-        assert got == blocks([0, 1], [2])
-        got = blocks([0, 1], [2]).lattice_join(blocks([0], [1, 2]))
-        assert got == Partition.singletons((0, 1, 2))
 
 
 class TestGroundSurgery:
@@ -191,11 +162,6 @@ class TestSetOperators:
         empty = WeightedPartitionSet((0, 1))
         assert empty.opt(blocks([0, 1])) is None
 
-    def test_dump_format(self):
-        a = wps((0, 1, 2), ([[0, 2], [1]], 4), ([[0, 1, 2]], 1))
-        assert a.dump() == "{0,1,2} w=1\n{0,2} {1} w=4"
-        assert WeightedPartitionSet((0,)).dump() == ""
-
     def test_join_size_product(self):
         rng = random.Random(7)
         a = random_wps((0, 1, 2), 12, rng)
@@ -244,9 +210,7 @@ class TestNaiveEquivalence:
             universe = list(all_partitions(ground))
             p, q = rng.choice(universe), rng.choice(universe)
             np_, nq = blocksof(p), blocksof(q)
-            assert p.coarsens(q) == naive_coarsens(np_, nq)
             assert blocksof(p.meet(q)) == naive_meet(np_, nq)
-            assert blocksof(p.lattice_join(q)) == naive_join(np_, nq)
             xs = tuple(x for x in ground if rng.random() < 0.5)
             assert blocksof(p.restrict(xs)) == naive_restrict(np_, xs)
             sup = set(ground) | {9, 10}

@@ -14,10 +14,12 @@ from hitminor import (
     augment_universal,
     disjoint_union,
     exact_td_small,
+    grid_graph,
     heuristic_td,
     is_free,
     k1s,
     make_nice,
+    parse_pattern,
     pattern_graph,
     solve,
     solve_bdd,
@@ -369,6 +371,47 @@ class TestDeadKeysStayAbsent:
                     view = _bag_view(g, bag, _forest_mask(labels), s0)
                     assert view.m == view.n - len(connected_components(view))
                     assert len(wps) <= 1 << len(wps.ground)
+
+
+class TestPruningStrength:
+    """Bag edges and triangles, counted where they form, prune the tables.
+    Settling them only at forget nodes keeps every answer but grows the
+    tables several-fold (3x12 grid: C4 211 keys, P3 54), so today's sizes
+    are ceilings: pattern -> (max_table_size, max_partition_set_size)."""
+
+    CEILINGS = {
+        "grid3x12": {
+            "p3": (26, None),
+            "p4": (127, None),
+            "k1s:3": (55, None),
+            "k1s:4": (82, None),
+            "c4": (90, 4),
+            "paw": (165, 4),
+        },
+        "frozen#2": {
+            "p3": (26, None),
+            "p4": (109, None),
+            "k1s:3": (71, None),
+            "k1s:4": (128, None),
+            "c4": (159, 3),
+            "paw": (186, 3),
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(CEILINGS))
+    def test_table_sizes_stay_at_most_today(self, name):
+        from test_acceptance import FROZEN_INSTANCES
+
+        if name == "grid3x12":
+            g = grid_graph(3, 12)
+        else:
+            n, edges, _, _ = FROZEN_INSTANCES[2]
+            g = Graph(n, edges)
+        for pname, (tables, psets) in self.CEILINGS[name].items():
+            stats = solve(SolveRequest(graph=g, pattern=parse_pattern(pname))).stats
+            assert stats["max_table_size"] <= tables, pname
+            if psets is not None:
+                assert stats["max_partition_set_size"] <= psets, pname
 
 
 class TestNoCyclicGarbage:
