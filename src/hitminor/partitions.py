@@ -1,17 +1,126 @@
 """Set partitions over small ordered ground sets, with weighted collections.
 
-Partitions are canonically encoded: the ground set is a sorted tuple and each
-element maps to the smallest element of its block.  A WeightedPartitionSet
-keeps at most one (minimal) weight per partition.  `reduce` shrinks a
-collection to a representative subset of size at most 2^|U| that preserves
-`opt` against every possible future connectivity demand; it keeps the rows of
-a cut matrix that stay linearly independent over GF(2), scanning entries by
-ascending weight with a canonical tie-break.
+The kernels work on codes: a partition of the positions 0..n-1 of an ordered
+ground set is the tuple whose entry i is the least position in i's block.
+`insert_glue`, `drop_code`, `meet_codes` and `reduce_codes` are what the
+connectivity solvers run, on codes over the kept bag positions.
+
+`Partition` and `WeightedPartitionSet` are the reference API over vertex ids:
+the ground set is a sorted tuple and each element maps to the smallest element
+of its block, so a partition is its code read through the ground set.  A
+WeightedPartitionSet keeps at most one (minimal) weight per partition.
+`Partition.meet` and `WeightedPartitionSet.reduce` call the code kernels.
+`reduce` shrinks a collection to a representative subset of size at most
+2^|U| that preserves `opt` against every possible future connectivity demand;
+it keeps the rows of a cut matrix that stay linearly independent over GF(2),
+scanning entries by ascending weight with a canonical tie-break.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
+
+Code = tuple[int, ...]
+
+
+# -- code kernels -------------------------------------------------------------
+
+
+def insert_glue(code: Code, i: int, glue: Iterable[int]) -> Code:
+    """Insert a singleton at position i, then merge the blocks of the
+    positions in `glue` (positions after the insertion) into one."""
+    out = [r + 1 if r >= i else r for r in code]
+    out.insert(i, i)
+    leads = {out[j] for j in glue}
+    if len(leads) > 1:
+        lead = min(leads)
+        out = [lead if r in leads else r for r in out]
+    return tuple(out)
+
+
+def drop_code(code: Code, i: int, project: bool = False) -> Code | None:
+    """Remove position i.  With `project`, None when i's block holds no
+    other position."""
+    if project and code.count(code[i]) == 1:
+        return None
+    out = []
+    succ = -1
+    for j, r in enumerate(code):
+        if j == i:
+            continue
+        if r == i:
+            # i led its block: its next member, now at j - 1, takes over.
+            if succ < 0:
+                succ = j - 1
+            r = succ
+        elif r > i:
+            r -= 1
+        out.append(r)
+    return tuple(out)
+
+
+def meet_codes(a: Code, b: Code) -> Code:
+    """Finest partition coarser than both (transitive block merging)."""
+    if a == b:
+        return a
+    # A union-find forest whose every root is the least position of its
+    # set, so parent[x] <= x throughout; a is such a forest already.
+    parent = list(a)
+    for i, r in enumerate(b):
+        if r != i:
+            x = i
+            while parent[x] != x:
+                x = parent[x]
+            y = r
+            while parent[y] != y:
+                y = parent[y]
+            if x < y:
+                parent[y] = x
+            elif y < x:
+                parent[x] = y
+    for i, p in enumerate(parent):
+        parent[i] = parent[p]
+    return tuple(parent)
+
+
+def _cut_row(code: Code) -> int:
+    """Row of the cut matrix: bit set at cut V2 iff every block lies wholly
+    on one side of (V1, V2), position 0 fixed on the V1 side.  Column V2 is
+    the bitmask of positions 1.. in V2, shifted down by one.
+
+    The valid V2 sides are exactly the unions of blocks avoiding position 0;
+    blocks are disjoint, so adding a block's mask m to every side found so
+    far shifts the row left by m.
+    """
+    masks: dict[int, int] = {}
+    for j in range(1, len(code)):
+        r = code[j]
+        if r:
+            masks[r] = masks.get(r, 0) | 1 << (j - 1)
+    row = 1
+    for m in masks.values():
+        row |= row << m
+    return row
+
+
+def reduce_codes(entries: dict[Code, int]) -> dict[Code, int]:
+    """Representative subset of {code: weight}, all codes of one length n,
+    of size at most 2^n preserving opt: entries by ascending (weight, code)
+    whose cut rows stay independent over GF(2)."""
+    if len(entries) <= 1:
+        return entries
+    basis: dict[int, int] = {}
+    kept: dict[Code, int] = {}
+    for code, w in sorted(entries.items(), key=lambda kv: (kv[1], kv[0])):
+        row = _cut_row(code)
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in basis:
+                basis[lead] = row
+                kept[code] = w
+                break
+            row ^= basis[lead]
+    return kept
 
 
 class Partition:
@@ -56,6 +165,15 @@ class Partition:
         lead = min(sset) if sset else None
         return cls(g, tuple(lead if e in sset else e for e in g))
 
+    @classmethod
+    def from_code(cls, ground: tuple[int, ...], code: Code) -> Partition:
+        """The partition of the sorted `ground` whose positions `code` encodes."""
+        return cls(ground, tuple(ground[i] for i in code))
+
+    def code(self) -> Code:
+        index = {e: i for i, e in enumerate(self.ground)}
+        return tuple(index[r] for r in self.reps)
+
     # -- queries ------------------------------------------------------
 
     def blocks(self) -> list[tuple[int, ...]]:
@@ -72,32 +190,7 @@ class Partition:
     def meet(self, other: Partition) -> Partition:
         """Finest partition coarser than both (transitive block merging)."""
         self._check_ground(other)
-        n = len(self.ground)
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for reps in (self.reps, other.reps):
-            first: dict[int, int] = {}
-            for i, r in enumerate(reps):
-                if r in first:
-                    a, b = find(first[r]), find(i)
-                    if a != b:
-                        parent[b] = a
-                else:
-                    first[r] = i
-        lead: dict[int, int] = {}
-        out = []
-        for i, e in enumerate(self.ground):
-            root = find(i)
-            if root not in lead:
-                lead[root] = e
-            out.append(lead[root])
-        return Partition(self.ground, tuple(out))
+        return Partition.from_code(self.ground, meet_codes(self.code(), other.code()))
 
     # -- ground-set surgery -------------------------------------------
 
@@ -303,46 +396,9 @@ class WeightedPartitionSet:
         """Representative subset of size at most 2^|U| preserving opt."""
         if not self.ground or len(self.entries) <= 1:
             return self
-        items = sorted(self.entries.items(), key=lambda kv: (kv[1], kv[0].reps))
-        col_pos = {e: i for i, e in enumerate(self.ground[1:])}
-        u1 = self.ground[0]
-        basis: dict[int, int] = {}
-        kept: dict[Partition, int] = {}
-        for p, w in items:
-            row = _cut_row(p, u1, col_pos)
-            while row:
-                lead = row.bit_length() - 1
-                if lead not in basis:
-                    basis[lead] = row
-                    kept[p] = w
-                    break
-                row ^= basis[lead]
-        out = WeightedPartitionSet(self.ground, kept)
+        by_code = {p.code(): p for p in self.entries}
+        kept = reduce_codes({c: self.entries[p] for c, p in by_code.items()})
+        out = WeightedPartitionSet(self.ground, {by_code[c]: w for c, w in kept.items()})
         assert len(out) <= 1 << len(self.ground)
         return out
 
-
-def _cut_row(p: Partition, u1: int, col_pos: dict[int, int]) -> int:
-    """Row of the cut matrix: bit set at cut V2 iff every block of p lies
-    wholly on one side of (V1, V2), u1 fixed on the V1 side.
-
-    The valid V2 sides are exactly the unions of blocks avoiding u1.
-    """
-    free_blocks: list[int] = []
-    grouped: dict[int, int] = {}
-    u1_rep = None
-    for e, r in zip(p.ground, p.reps):
-        if e == u1:
-            u1_rep = r
-        if e in col_pos:
-            grouped[r] = grouped.get(r, 0) | (1 << col_pos[e])
-    for r, mask in grouped.items():
-        if r != u1_rep:
-            free_blocks.append(mask)
-    positions = {0}
-    for mask in free_blocks:
-        positions |= {q | mask for q in positions}
-    row = 0
-    for q in positions:
-        row |= 1 << q
-    return row

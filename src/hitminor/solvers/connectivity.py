@@ -5,12 +5,17 @@ of the input augmented with a universal vertex v0 that belongs to every
 non-empty bag.  Partial solutions carry a set of weighted partitions of the
 kept bag vertices (their connectivity classes); a partition's weight counts
 the deleted vertices the partial solution has already forgotten, so each
-deletion is paid once, at its forget node.  After every node each per-key
-partition set is shrunk to a min-weight representative subset, which is what
-keeps the tables single-exponential in the bag size.  The answer is the
-least weight at the root, where every vertex is forgotten; with a budget, an
-entry is dropped as soon as its weight plus its key's deleted bag vertices
-exceeds it.
+deletion is paid once, at its forget node.  Each key's set is a plain
+{code: weight} dict.  A code partitions the key's ground positions in bag
+order (the kept positions for C4, the forest positions for paw): entry i is
+the least position in i's block, and the kernels of `partitions` do the
+index work.  Bags are sorted and v0 is last, so position order is vertex-id
+order and v0 is always the last ground position.  After every node each
+set that holds two or more codes is shrunk to a min-weight representative
+subset, which is what keeps the tables single-exponential in the bag size.
+The answer is the least weight at the root, where every vertex is
+forgotten; with a budget, an entry is dropped as soon as its weight plus
+its key's deleted bag vertices exceeds it.
 
 Correctness rests on a counter rather than on local cycle checks: a kept
 graph whose blocks are edges and triangles (C4-free) with i vertices, j
@@ -32,7 +37,7 @@ from __future__ import annotations
 from functools import partial
 
 from ..graph import Graph
-from ..partitions import WeightedPartitionSet
+from ..partitions import drop_code, insert_glue, meet_codes, reduce_codes
 from ..treedecomp import NiceTreeDecomposition
 from .engine import bag_adjacency, bits, insert_at, remove_at, run_dp
 
@@ -62,16 +67,52 @@ def _vedge(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def _project(run: _Run, t: int, wps: WeightedPartitionSet, v: int) -> WeightedPartitionSet:
-    """Forget kept vertex v.  Below the root, `proj` drops every partition in
-    which v's block holds no other bag vertex: that block can never reach v0.
-    At the root v0 itself is forgotten, so no block is dropped there."""
-    if t != run.ntd.root:
-        return wps.proj([v])
-    keep = [e for e in wps.ground if e != v]
-    out = WeightedPartitionSet(keep)
-    for p, w in wps.entries.items():
-        out._min_add(p.restrict(keep), w)
+def _below(mask: int, pos: int) -> int:
+    """Index of bag position `pos` among the ground positions in `mask`."""
+    return (mask & ((1 << pos) - 1)).bit_count()
+
+
+# The helpers below map a {code: weight} dict to a new one, keeping the
+# least weight of codes that coincide (`w < out.get(code, w + 1)`).
+
+
+def _glued(entries: dict, i: int, glue: list[int]) -> dict:
+    """Insert ground index i as a singleton and merge it with `glue`."""
+    out: dict = {}
+    for code, w in entries.items():
+        code = insert_glue(code, i, glue)
+        if w < out.get(code, w + 1):
+            out[code] = w
+    return out
+
+
+def _project(run: _Run, t: int, entries: dict, i: int) -> dict:
+    """Forget the kept vertex at ground index i.  Below the root, a code in
+    which i's block holds no other bag vertex is dropped: that block can
+    never reach v0.  At the root v0 itself is forgotten, so no code is
+    dropped there."""
+    project = t != run.ntd.root
+    out: dict = {}
+    for code, w in entries.items():
+        code = drop_code(code, i, project)
+        if code is not None and w < out.get(code, w + 1):
+            out[code] = w
+    return out
+
+
+def _shifted(entries: dict) -> dict:
+    """One more forgotten deletion on every code."""
+    return {code: w + 1 for code, w in entries.items()}
+
+
+def _joined(left: dict, right: dict) -> dict:
+    out: dict = {}
+    for c1, w1 in left.items():
+        for c2, w2 in right.items():
+            code = meet_codes(c1, c2)
+            w = w1 + w2
+            if w < out.get(code, w + 1):
+                out[code] = w
     return out
 
 
@@ -80,9 +121,9 @@ class _Run:
     plain adjacency of every bag (`adj[t][pos]`, a bitmask of bag positions
     read from g, which has no v0: v0-edges only enter the solution graph
     when a key selects them) and the budget.  Table keys end with the
-    component count c; a partition's weight counts the deleted vertices the
-    subtree has forgotten, and the budget test adds the key's deleted bag
-    vertices."""
+    component count c and map to {code: weight} dicts; a weight counts the
+    deleted vertices the subtree has forgotten, and the budget test adds the
+    key's deleted bag vertices."""
 
     __slots__ = ("v0", "ntd", "adj", "budget", "stats", "max_pset")
 
@@ -109,7 +150,7 @@ class _Run:
         is bound here, not stored, so the run holds no reference to itself."""
         root_table = run_dp(
             self.ntd,
-            lambda: {leaf_key: WeightedPartitionSet.base()},
+            lambda: {leaf_key: {(): 0}},
             partial(introduce, self),
             partial(forget, self),
             partial(join, self),
@@ -123,9 +164,9 @@ class _Run:
         return min(
             (
                 w
-                for key, wps in root_table.items()
+                for key, entries in root_table.items()
                 if key[-1] == 1
-                for w in wps.entries.values()
+                for w in entries.values()
             ),
             default=None,
         )
@@ -141,31 +182,42 @@ class _Run:
         # check; see the module docstring.
         at_root = t == self.ntd.root
         bag_size = len(self.ntd.bags[t])
-        for key, wps in list(table.items()):
+        for key, entries in list(table.items()):
             want = key[-1]
             budget = self.budget - bag_deleted(bag_size, key)
-            filtered = {
-                p: w
-                for p, w in wps.entries.items()
-                if w <= budget and (at_root or p.block_count() == want)
+            kept = {
+                code: w
+                for code, w in entries.items()
+                if w <= budget and (at_root or len(set(code)) == want)
             }
-            if not filtered:
+            if not kept:
                 del table[key]
                 continue
-            if len(filtered) != len(wps.entries):
-                wps = WeightedPartitionSet(wps.ground, filtered)
-            reduced = wps.reduce()
-            assert len(reduced) <= 1 << len(reduced.ground)
-            table[key] = reduced
-            if len(reduced) > self.max_pset:
-                self.max_pset = len(reduced)
+            if len(kept) > 1:
+                kept = reduce_codes(kept)
+                assert len(kept) <= 1 << len(next(iter(kept)))
+            # kept is a subset of entries.  Keep the stored dict when it is
+            # whole: it may be shared with other keys, which saves memory.
+            if len(kept) < len(entries):
+                table[key] = kept
+            if len(kept) > self.max_pset:
+                self.max_pset = len(kept)
 
 
-def _accumulate(table: dict, key, wps: WeightedPartitionSet) -> None:
-    if not wps.entries:
+def _accumulate(table: dict, key, entries: dict) -> None:
+    """Add `entries` to table[key], keeping the least weight per code.
+    Stored dicts may be shared between keys, so a merge builds a new one."""
+    if not entries:
         return
     prev = table.get(key)
-    table[key] = wps if prev is None else prev.union(wps)
+    if prev is None:
+        table[key] = entries
+        return
+    merged = dict(prev)
+    for code, w in entries.items():
+        if w < merged.get(code, w + 1):
+            merged[code] = w
+    table[key] = merged
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +261,11 @@ def _c4_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
     v0 = run.v0
     bit = 1 << pos
     out: dict = {}
-    for (kept_c, s0_c, redges, c), wps in child.items():
+    for (kept_c, s0_c, redges, c), entries in child.items():
         kept = _insert_bit(kept_c, pos)
         s0 = _insert_bit(s0_c, pos)
         if v != v0:
-            _accumulate(out, (kept, s0, redges, c), wps)
+            _accumulate(out, (kept, s0, redges, c), entries)
         # v's kept plain neighbours.  v0's row is empty, and v0 enters first,
         # into an empty bag, so it has no selected v0-edges to miss.  Those
         # edges are pairwise non-adjacent, so no triangle holds v0 and both
@@ -235,36 +287,40 @@ def _c4_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
             continue
         redges_p = redges | new_tris
         c_p = c + 1 - len(nbr_pos) + sum(1 for m in partners if m) // 2
-        nbr_vs = [bag[q] for q in nbr_pos]
-        # `glue` adds v as a fresh singleton before merging it in.
-        _accumulate(out, (kept | bit, s0, redges_p, c_p), wps.glue(nbr_vs + [v]))
+        # Ground indices over the new kept mask; v0, always kept, is last.
+        ground = kept | bit
+        i = _below(ground, pos)
+        glue = [_below(ground, q) for q in nbr_pos] + [i]
+        _accumulate(out, (ground, s0, redges_p, c_p), _glued(entries, i, glue))
         # Keeping selected v0-edges pairwise non-adjacent loses nothing:
         # one edge per final component always suffices, and vertices of
         # different components are never adjacent.
         if v != v0 and not nbrs & s0:
-            key = (kept | bit, s0 | bit, redges_p, c_p - 1)
-            _accumulate(out, key, wps.glue(nbr_vs + [v0, v]))
+            key = (ground, s0 | bit, redges_p, c_p - 1)
+            glue_v0 = glue + [ground.bit_count() - 1]
+            _accumulate(out, key, _glued(entries, i, glue_v0))
     return out
 
 
 def _c4_forget(run: _Run, t: int, cpos: int, child: dict) -> dict:
     v = run.ntd.vertex[t]
     out: dict = {}
-    for (kept_c, s0_c, redges, c), wps in child.items():
+    for (kept_c, s0_c, redges, c), entries in child.items():
         kept = _remove_bit(kept_c, cpos)
         s0 = _remove_bit(s0_c, cpos)
         if not kept_c >> cpos & 1:
-            _accumulate(out, (kept, s0, redges, c), wps.shift(1))
+            _accumulate(out, (kept, s0, redges, c), _shifted(entries))
             continue
         rem = frozenset(e for e in redges if v not in e)
-        _accumulate(out, (kept, s0, rem, c), _project(run, t, wps, v))
+        projected = _project(run, t, entries, _below(kept_c, cpos))
+        _accumulate(out, (kept, s0, rem, c), projected)
     return out
 
 
 def _c4_join(run: _Run, t: int, left: dict, right: dict) -> dict:
     adj = run.adj[t]
     grouped: dict[tuple[int, int], tuple[int, int, list]] = {}
-    for (kept, s0, redges, c), wps in right.items():
+    for (kept, s0, redges, c), entries in right.items():
         group = grouped.get((kept, s0))
         if group is None:
             # Bag vertices, edges (v0-edges included) and triangles are
@@ -272,21 +328,21 @@ def _c4_join(run: _Run, t: int, left: dict, right: dict) -> dict:
             edges, tris = _bag_counts(adj, kept)
             shared_c = kept.bit_count() - edges - s0.bit_count() + tris
             group = grouped[kept, s0] = (shared_c, 3 * tris, [])
-        group[2].append((redges, c, wps))
+        group[2].append((redges, c, entries))
     out: dict = {}
-    for (kept, s0, redges1, c1), wps1 in left.items():
+    for (kept, s0, redges1, c1), entries1 in left.items():
         group = grouped.get((kept, s0))
         if group is None:
             continue
         shared_c, tri_edge_count, bucket = group
-        for redges2, c2, wps2 in bucket:
+        for redges2, c2, entries2 in bucket:
             # Both sides hold every edge of the bag's triangles, which are
             # edge-disjoint; any further shared edge would glue two
             # triangles onto one edge.
             if len(redges1 & redges2) != tri_edge_count:
                 continue
             key = (kept, s0, redges1 | redges2, c1 + c2 - shared_c)
-            _accumulate(out, key, wps1.join(wps2))
+            _accumulate(out, key, _joined(entries1, entries2))
     return out
 
 
@@ -330,10 +386,10 @@ def _paw_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
     nbr_pos = bits(run.adj[t][pos])
     plain_nbrs = [q if q < pos else q - 1 for q in nbr_pos]
     out: dict = {}
-    for (labels_c, s0_c, c), wps in child.items():
+    for (labels_c, s0_c, c), entries in child.items():
         s0 = _insert_bit(s0_c, pos)
         if v != v0:
-            _accumulate(out, (insert_at(labels_c, pos, _DEL), s0, c), wps)
+            _accumulate(out, (insert_at(labels_c, pos, _DEL), s0, c), entries)
 
         forest_adjacent = [q for q in plain_nbrs if labels_c[q] == _FOREST]
         cycle_adjacent = [q for q in plain_nbrs if labels_c[q] >= _CYC0]
@@ -341,13 +397,16 @@ def _paw_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
         # Forest case: no plain edge may run into the cycle part.
         if not cycle_adjacent:
             labels = insert_at(labels_c, pos, _FOREST)
-            nbr_vs = [bag[q] for q in nbr_pos if labels[q] == _FOREST]
-            key = (labels, s0, c + 1 - len(nbr_vs))
-            # `glue` adds v as a fresh singleton before merging it in.
-            _accumulate(out, key, wps.glue(nbr_vs + [v]))
+            # Ground indices over the forest positions; v0, always in the
+            # forest part, is last.
+            i = labels[:pos].count(_FOREST)
+            nbrs = [labels[:q].count(_FOREST) for q in nbr_pos if labels[q] == _FOREST]
+            key = (labels, s0, c + 1 - len(nbrs))
+            _accumulate(out, key, _glued(entries, i, nbrs + [i]))
             if v != v0:
-                key = (labels, s0 | bit, c - len(nbr_vs))
-                _accumulate(out, key, wps.glue(nbr_vs + [v0, v]))
+                key = (labels, s0 | bit, c - len(nbrs))
+                glue = nbrs + [i, labels.count(_FOREST) - 1]
+                _accumulate(out, key, _glued(entries, i, glue))
 
         # Cycle case: neighbors already in the cycle part gain one degree.
         if (
@@ -362,24 +421,23 @@ def _paw_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
             labels = insert_at(
                 tuple(upd), pos, _CYC0 + len(cycle_adjacent)
             )
-            _accumulate(out, (labels, s0, c), wps)
+            _accumulate(out, (labels, s0, c), entries)
     return out
 
 
 def _paw_forget(run: _Run, t: int, cpos: int, child: dict) -> dict:
-    v = run.ntd.vertex[t]
     out: dict = {}
-    for (labels_c, s0_c, c), wps in child.items():
+    for (labels_c, s0_c, c), entries in child.items():
         label = labels_c[cpos]
         if label in (_CYC0, _CYC1):
             continue  # a cycle vertex leaves the bag only once closed
         labels = remove_at(labels_c, cpos)
         s0 = _remove_bit(s0_c, cpos)
         if label == _FOREST:
-            wps = _project(run, t, wps, v)
+            entries = _project(run, t, entries, labels_c[:cpos].count(_FOREST))
         elif label == _DEL:
-            wps = wps.shift(1)
-        _accumulate(out, (labels, s0, c), wps)
+            entries = _shifted(entries)
+        _accumulate(out, (labels, s0, c), entries)
     return out
 
 
@@ -390,7 +448,7 @@ def _paw_join(run: _Run, t: int, left: dict, right: dict) -> dict:
         return tuple(min(x, _CYC0) for x in labels)
 
     grouped: dict[tuple, tuple[int, list]] = {}
-    for (labels, s0, c), wps in right.items():
+    for (labels, s0, c), entries in right.items():
         kinds = kind_key(labels)
         group = grouped.get((kinds, s0))
         if group is None:
@@ -399,16 +457,16 @@ def _paw_join(run: _Run, t: int, left: dict, right: dict) -> dict:
             forest = _forest_mask(kinds)
             shared_c = forest.bit_count() - _bag_counts(adj, forest)[0] - s0.bit_count()
             group = grouped[kinds, s0] = (shared_c, [])
-        group[1].append((labels, c, wps))
+        group[1].append((labels, c, entries))
     out: dict = {}
-    for (labels1, s0, c1), wps1 in left.items():
+    for (labels1, s0, c1), entries1 in left.items():
         group = grouped.get((kind_key(labels1), s0))
         if group is None:
             continue
         shared_c, bucket = group
         cyc_positions = [p for p, x in enumerate(labels1) if x >= _CYC0]
         cyc_mask = sum(1 << p for p in cyc_positions)
-        for labels2, c2, wps2 in bucket:
+        for labels2, c2, entries2 in bucket:
             merged = list(labels1)
             ok = True
             for p in cyc_positions:
@@ -422,5 +480,5 @@ def _paw_join(run: _Run, t: int, left: dict, right: dict) -> dict:
             if not ok:
                 continue
             key = (tuple(merged), s0, c1 + c2 - shared_c)
-            _accumulate(out, key, wps1.join(wps2))
+            _accumulate(out, key, _joined(entries1, entries2))
     return out

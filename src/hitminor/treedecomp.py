@@ -148,9 +148,10 @@ def heuristic_td(g: Graph) -> TreeDecomposition:
     that are no longer a vertex's current key are skipped when popped.
     Eliminating v changes the degree and fill of its neighbours only, and
     the fill of a vertex two steps away only through the fill edges just
-    added, so only those vertices are rescored.  The key is a total order,
-    so the result is the one a rescan of every live vertex at each step
-    would give.
+    added, so only those vertices are rescored; when v was simplicial (fill
+    0) each neighbour's new key follows from its old one in O(1).  The key
+    is a total order, so the result is the one a rescan of every live
+    vertex at each step would give.
     """
     adj = [set(g.neighbors(v)) for v in range(g.n)]
     key: list[tuple[int, int, int] | None] = [
@@ -169,11 +170,20 @@ def heuristic_td(g: Graph) -> TreeDecomposition:
         nbrs = _eliminate(adj, v)
         order.append(v)
         eliminated.append(nbrs)
-        touched = set(nbrs)
-        # With fill 0 no edge was added: vertices two steps away keep their key.
-        if entry[0]:
+        if not entry[0]:
+            # v was simplicial: no edge was added, so vertices two steps away
+            # keep their key, and a neighbour a loses exactly v and the
+            # deg(a) - |N(v)| non-adjacent pairs v formed with a's other
+            # neighbours (N(v) - a is inside N(a), being a clique).
             for a in nbrs:
-                touched |= adj[a]
+                fill, deg, _ = key[a]
+                new = (fill - deg + len(nbrs), deg - 1, a)
+                key[a] = new
+                heapq.heappush(heap, new)
+            continue
+        touched = set(nbrs)
+        for a in nbrs:
+            touched |= adj[a]
         for w in touched:
             new = (_fill(adj, w), len(adj[w]), w)
             if new != key[w]:

@@ -1,9 +1,11 @@
 import random
+from bisect import bisect_left
 from itertools import product
 
 import pytest
 
 from hitminor import Partition, WeightedPartitionSet, all_partitions
+from hitminor.partitions import drop_code, insert_glue, meet_codes, reduce_codes
 
 from corpus import (
     blocksof,
@@ -275,3 +277,72 @@ class TestReduce:
             for full, reduced in variants:
                 for q in all_partitions(full.ground):
                     assert full.opt(q) == reduced.opt(q)
+
+
+class TestCodeKernelsMatchReference:
+    """The code kernels the connectivity solvers run, against `Partition`
+    and `WeightedPartitionSet` on seeded random operation sequences: a code
+    over the positions of a sorted ground of ids is the partition read
+    through that ground."""
+
+    @staticmethod
+    def as_wps(ground, codes):
+        return {Partition.from_code(tuple(ground), c): w for c, w in codes.items()}
+
+    @staticmethod
+    def put(out, code, w):
+        if code is not None and (code not in out or w < out[code]):
+            out[code] = w
+
+    def test_random_operation_sequences(self):
+        rng = random.Random(2718)
+        ops = {"insert_glue": 0, "drop": 0, "project": 0, "meet": 0, "reduce": 0}
+        for _ in range(250):
+            ground = sorted(rng.sample(range(100), rng.randrange(0, 8)))
+            ref = random_wps(tuple(ground), rng.randrange(1, 6), rng)
+            codes = {p.code(): w for p, w in ref.entries.items()}
+            for _ in range(12):
+                op = rng.choice(list(ops))
+                if op == "insert_glue" and len(ground) < 7:
+                    x = rng.choice([e for e in range(100) if e not in ground])
+                    i = bisect_left(ground, x)
+                    s = [e for e in ground if rng.random() < 0.4] + [x]
+                    ground.insert(i, x)
+                    glue = [ground.index(e) for e in s]
+                    ref = ref.glue(s)
+                    out = {}
+                    for c, w in codes.items():
+                        self.put(out, insert_glue(c, i, glue), w)
+                    codes = out
+                elif op in ("drop", "project") and ground:
+                    i = rng.randrange(len(ground))
+                    e = ground.pop(i)
+                    if op == "project":
+                        ref = ref.proj([e])
+                    else:
+                        ref = WeightedPartitionSet.from_pairs(
+                            ground, [(p.restrict(ground), w) for p, w in ref.entries.items()]
+                        )
+                    out = {}
+                    for c, w in codes.items():
+                        self.put(out, drop_code(c, i, op == "project"), w)
+                    codes = out
+                elif op == "meet":
+                    other = random_wps(tuple(ground), rng.randrange(1, 4), rng)
+                    ref = ref.join(other)
+                    out = {}
+                    for c1, w1 in codes.items():
+                        for p, w2 in other.entries.items():
+                            self.put(out, meet_codes(c1, p.code()), w1 + w2)
+                    codes = out
+                elif op == "reduce" and len(codes) >= 2:
+                    ref = ref.reduce()
+                    codes = reduce_codes(codes)
+                else:
+                    continue
+                ops[op] += 1
+                assert ref.ground == tuple(ground)
+                assert self.as_wps(ground, codes) == ref.entries, op
+                if not codes:
+                    break
+        assert min(ops.values()) >= 100, ops

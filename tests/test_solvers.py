@@ -358,7 +358,7 @@ class TestDeadKeysStayAbsent:
             for bag, table in _stored_tables(monkeypatch, solve_c4, g):
                 for (kept, s0, _, _), wps in table.items():
                     assert c4_condition(_bag_view(g, bag, kept, s0))
-                    assert len(wps) <= 1 << len(wps.ground)
+                    assert len(wps) <= 1 << kept.bit_count()
 
     def test_paw_forest_parts_stay_forests(self, monkeypatch):
         from hitminor.solvers.connectivity import _forest_mask
@@ -370,7 +370,7 @@ class TestDeadKeysStayAbsent:
                 for (labels, s0, _), wps in table.items():
                     view = _bag_view(g, bag, _forest_mask(labels), s0)
                     assert view.m == view.n - len(connected_components(view))
-                    assert len(wps) <= 1 << len(wps.ground)
+                    assert len(wps) <= 1 << _forest_mask(labels).bit_count()
 
 
 class TestPruningStrength:
@@ -456,6 +456,33 @@ class TestSinglePass:
             calls.clear()
             assert minimize(g, pattern) >= 2
             assert len(calls) == 1
+
+    def test_solvers_never_build_reference_partitions(self, monkeypatch):
+        """C4 and paw keep codes in plain dicts: the reference classes of
+        `hitminor.partitions` are never built on the solve path."""
+        from hitminor.partitions import Partition, WeightedPartitionSet
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} built by a solver")
+
+        rng = random.Random(61)
+        graphs = [random_graph(rng.randrange(5, 11), 0.45, rng) for _ in range(4)]
+        want = {
+            (i, p.name): min_deletion_bruteforce(g, p)
+            for i, g in enumerate(graphs)
+            for p in (C4, PAW)
+        }
+        graphs.append(grid_graph(3, 12))
+        want.update({(4, "c4"): 9, (4, "paw"): 9})
+        monkeypatch.setattr(WeightedPartitionSet, "__init__", forbidden)
+        monkeypatch.setattr(Partition, "__init__", forbidden)
+        for i, g in enumerate(graphs):
+            for p in (C4, PAW):
+                opt = want[i, p.name]
+                assert solve(SolveRequest(graph=g, pattern=p)).answer == opt
+                for k in {max(opt - 1, 0), opt}:
+                    req = SolveRequest(graph=g, pattern=p, mode="decide", k=k)
+                    assert solve(req).answer == (opt <= k)
 
     def test_budget_contract_above_oracle_guard(self):
         from hitminor.treedecomp import lift_v0

@@ -158,6 +158,36 @@ class TestHeuristic:
             assert td.bags == ref.bags, (g.n, g.edges())
             assert td.edges == ref.edges, (g.n, g.edges())
 
+    def test_stars_match_full_rescan_reference(self):
+        """Simplicial eliminations (the leaves, the path ends) update their
+        neighbour's key without a rescan; the orders must not change."""
+        rng = random.Random(43)
+        graphs = []
+        for leaves in (1, 2, 3, 7, 30):
+            for centre in (0, leaves):
+                graphs.append(
+                    Graph(leaves + 1, [(centre, v) for v in range(leaves + 1) if v != centre])
+                )
+        for _ in range(20):
+            leaves = rng.randrange(1, 25)
+            edges = [(0, v) for v in range(1, leaves + 1)]
+            n = leaves + 1
+            # A path of 0-3 vertices hangs off each leaf.
+            for leaf in range(1, leaves + 1):
+                end = leaf
+                for _ in range(rng.randrange(4)):
+                    edges.append((end, n))
+                    end = n
+                    n += 1
+            perm = list(range(n))
+            rng.shuffle(perm)
+            graphs.append(Graph(n, [(perm[a], perm[b]) for a, b in edges]))
+        for g in graphs:
+            ref = full_rescan_min_fill(g)
+            td = heuristic_td(g)
+            assert td.bags == ref.bags, (g.n, g.edges())
+            assert td.edges == ref.edges, (g.n, g.edges())
+
     def test_scales_to_ten_thousand_sparse_vertices(self):
         bw = bandwidth_graph(10_000, 3, 0.4, random.Random(3))
         td = heuristic_td(bw)
@@ -166,6 +196,10 @@ class TestHeuristic:
         tree = random_tree(10_000, random.Random(3))
         td = heuristic_td(tree)
         assert validate_td(tree, td) == []
+        assert td.width == 1
+        star = Graph(10_001, [(0, v) for v in range(1, 10_001)])
+        td = heuristic_td(star)
+        assert validate_td(star, td) == []
         assert td.width == 1
 
 
