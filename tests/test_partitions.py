@@ -280,14 +280,23 @@ class TestReduce:
 
 
 class TestCodeKernelsMatchReference:
-    """The code kernels the connectivity solvers run, against `Partition`
-    and `WeightedPartitionSet` on seeded random operation sequences: a code
-    over the positions of a sorted ground of ids is the partition read
-    through that ground."""
+    """The code kernels the connectivity solvers run, on seeded random
+    operation sequences: a code over the positions of a sorted ground of ids
+    is the partition read through that ground.  `Partition.meet` and
+    `WeightedPartitionSet.reduce` call `meet_codes` and `reduce_codes`, so
+    those two are checked against the naive algebra of `corpus` instead:
+    meets against `naive_join_op`, reduce by its subset, size and
+    opt-preservation properties over every demand partition."""
 
     @staticmethod
     def as_wps(ground, codes):
         return {Partition.from_code(tuple(ground), c): w for c, w in codes.items()}
+
+    @staticmethod
+    def opt(codes, q):
+        """Least weight of a code whose meet with q is one block, through
+        `meet_codes`, which the "meet" steps check against the naive meet."""
+        return min((w for c, w in codes.items() if not any(meet_codes(c, q))), default=None)
 
     @staticmethod
     def put(out, code, w):
@@ -297,7 +306,8 @@ class TestCodeKernelsMatchReference:
     def test_random_operation_sequences(self):
         rng = random.Random(2718)
         ops = {"insert_glue": 0, "drop": 0, "project": 0, "meet": 0, "reduce": 0}
-        for _ in range(250):
+        dropped = 0
+        for _ in range(150):
             ground = sorted(rng.sample(range(100), rng.randrange(0, 8)))
             ref = random_wps(tuple(ground), rng.randrange(1, 6), rng)
             codes = {p.code(): w for p, w in ref.entries.items()}
@@ -329,15 +339,29 @@ class TestCodeKernelsMatchReference:
                     codes = out
                 elif op == "meet":
                     other = random_wps(tuple(ground), rng.randrange(1, 4), rng)
-                    ref = ref.join(other)
+                    expected = naive_join_op(wps_to_naive(ref), wps_to_naive(other))
                     out = {}
                     for c1, w1 in codes.items():
                         for p, w2 in other.entries.items():
                             self.put(out, meet_codes(c1, p.code()), w1 + w2)
                     codes = out
-                elif op == "reduce" and len(codes) >= 2:
-                    ref = ref.reduce()
+                    ref = WeightedPartitionSet(ground, self.as_wps(ground, codes))
+                    assert wps_to_naive(ref) == expected
+                elif op == "reduce" and ground:
+                    # Extra entries, so that cut rows turn dependent and
+                    # the order in which reduce keeps entries matters.
+                    n = rng.randrange(2 << min(len(ground), 3))
+                    for p, w in random_wps(tuple(ground), n, rng).entries.items():
+                        self.put(codes, p.code(), w)
+                    before = dict(codes)
                     codes = reduce_codes(codes)
+                    dropped += len(codes) < len(before)
+                    assert len(codes) <= 1 << len(ground)
+                    assert all(before[c] == w for c, w in codes.items())
+                    for q in all_partitions(ground):
+                        q = q.code()
+                        assert self.opt(codes, q) == self.opt(before, q)
+                    ref = WeightedPartitionSet(ground, self.as_wps(ground, codes))
                 else:
                     continue
                 ops[op] += 1
@@ -346,3 +370,4 @@ class TestCodeKernelsMatchReference:
                 if not codes:
                     break
         assert min(ops.values()) >= 100, ops
+        assert dropped >= 40, dropped

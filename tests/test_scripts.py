@@ -25,5 +25,5 @@ def test_ab_bench_summary_reads_direction_per_metric():
     change = [run(20, 0.02), run(30, 0.02), run(11, 0.03)]
     lines = ab.summarize(metrics, parent, change)
     rate, p50 = lines[1].split(), lines[2].split()
-    assert rate == ["instances_per_s", "11", "20", "2.000", "2/3"]
-    assert p50 == ["solve_s.p50", "0.04", "0.02", "0.500", "2/3"]
+    assert rate == ["instances_per_s", "11", "20", "2", "2.000", "2/3"]
+    assert p50 == ["solve_s.p50", "0.04", "0.02", "0.02", "0.500", "2/3"]
