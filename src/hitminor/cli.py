@@ -136,13 +136,6 @@ def _run_instance(
 def cmd_solve(args) -> int:
     pattern = parse_pattern(args.pattern)
     g = _load_graph(args.graph)
-    mode = args.mode
-    if mode == "decide" and args.k is None:
-        print("error: decide mode needs -k", file=sys.stderr)
-        return EXIT_USAGE
-    if mode == "minimize" and args.k is not None:
-        print("error: -k only applies to decide mode", file=sys.stderr)
-        return EXIT_USAGE
     td = None
     if args.td is not None:
         with open(args.td, "r", encoding="utf-8") as fh:
@@ -151,7 +144,7 @@ def cmd_solve(args) -> int:
         name=args.graph,
         g=g,
         pattern=pattern,
-        mode=mode,
+        mode=args.mode,
         k=args.k,
         td=td,
         verify=args.verify,

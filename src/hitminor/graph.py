@@ -57,9 +57,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(s) for s in self._adj), default=0)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def induced(self, keep: Iterable[int]) -> Graph:
         """Induced subgraph on `keep`, relabeled to 0..k-1 by sorted order."""
         kept = sorted(set(keep))

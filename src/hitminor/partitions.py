@@ -2,18 +2,17 @@
 
 The kernels work on codes: a partition of the positions 0..n-1 of an ordered
 ground set is the tuple whose entry i is the least position in i's block.
-`insert_glue`, `drop_code`, `meet_codes` and `reduce_codes` are what the
-connectivity solvers run, on codes over the kept bag positions.
+The set operations on weighted sets, {code: weight} dicts, live here once;
+the connectivity solvers call them on their table entries.
 
-`Partition` and `WeightedPartitionSet` are the reference API over vertex ids:
-the ground set is a sorted tuple and each element maps to the smallest element
-of its block, so a partition is its code read through the ground set.  A
-WeightedPartitionSet keeps at most one (minimal) weight per partition.
-`Partition.meet` and `WeightedPartitionSet.reduce` call the code kernels.
-`reduce` shrinks a collection to a representative subset of size at most
-2^|U| that preserves `opt` against every possible future connectivity demand;
-it keeps the rows of a cut matrix that stay linearly independent over GF(2),
-scanning entries by ascending weight with a canonical tie-break.
+`Partition` and `WeightedPartitionSet` are the vertex-id view: a Partition
+holds a sorted ground tuple and its code, and every WeightedPartitionSet
+operator runs the set operations on its entries' codes, keeping at most one
+(minimal) weight per partition.  `reduce` shrinks a collection to a
+representative subset of size at most 2^|U| that preserves `opt` against
+every possible future connectivity demand; it keeps the rows of a cut matrix
+that stay linearly independent over GF(2), scanning entries by ascending
+weight with a canonical tie-break.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ def insert_glue(code: Code, i: int, glue: Iterable[int]) -> Code:
     return tuple(out)
 
 
-def drop_code(code: Code, i: int, project: bool = False) -> Code | None:
+def drop_code(code: Code, i: int, project: bool) -> Code | None:
     """Remove position i.  With `project`, None when i's block holds no
     other position."""
     if project and code.count(code[i]) == 1:
@@ -123,23 +122,82 @@ def reduce_codes(entries: dict[Code, int]) -> dict[Code, int]:
     return kept
 
 
+# -- weighted sets ------------------------------------------------------------
+# A weighted set maps codes of one length to weights.  Sets may be shared, so
+# no operation changes one: each builds a new dict, keeping the least weight
+# of codes that coincide (`w < out.get(code, w + 1)`, inlined per entry).
+# `shift_set` and `union_into` never look inside a key, so they serve
+# Partition-keyed weights too.
+
+
+def glue_set(entries: dict, i: int, glue: Iterable[int]) -> dict:
+    """`insert_glue` on every code."""
+    out: dict = {}
+    for code, w in entries.items():
+        code = insert_glue(code, i, glue)
+        if w < out.get(code, w + 1):
+            out[code] = w
+    return out
+
+
+def drop_set(entries: dict, i: int, project: bool) -> dict:
+    """`drop_code` on every code; with `project`, codes it rejects go."""
+    out: dict = {}
+    for code, w in entries.items():
+        code = drop_code(code, i, project)
+        if code is not None and w < out.get(code, w + 1):
+            out[code] = w
+    return out
+
+
+def meet_sets(left: dict, right: dict) -> dict:
+    """Every pairwise meet, weights added."""
+    out: dict = {}
+    for c1, w1 in left.items():
+        for c2, w2 in right.items():
+            code = meet_codes(c1, c2)
+            w = w1 + w2
+            if w < out.get(code, w + 1):
+                out[code] = w
+    return out
+
+
+def shift_set(entries: dict, extra: int) -> dict:
+    return {code: w + extra for code, w in entries.items()}
+
+
+def union_into(table: dict, key, entries: dict) -> None:
+    """Least-weight union of `entries` into the set table[key], if any.  A
+    set may be shared (between keys, or with its caller), so a merge builds a
+    new dict; the first set stored under a key is stored as is."""
+    if not entries:
+        return
+    prev = table.get(key)
+    if prev is None:
+        table[key] = entries
+        return
+    merged = dict(prev)
+    for code, w in entries.items():
+        if w < merged.get(code, w + 1):
+            merged[code] = w
+    table[key] = merged
+
+
 class Partition:
-    """Canonical partition of a sorted ground tuple."""
+    """Partition of a sorted ground tuple, held as its code."""
 
-    __slots__ = ("ground", "reps", "_hash")
+    __slots__ = ("ground", "code")
 
-    def __init__(self, ground: tuple[int, ...], reps: tuple[int, ...]):
+    def __init__(self, ground: tuple[int, ...], code: Code):
         self.ground = ground
-        self.reps = reps
-        self._hash: int | None = None
+        self.code = code
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> Partition:
-        block_list = [sorted(b) for b in blocks]
         rep_of: dict[int, int] = {}
-        for block in block_list:
+        for block in map(sorted, blocks):
             if not block:
                 raise ValueError("empty block")
             lead = block[0]
@@ -148,12 +206,13 @@ class Partition:
                     raise ValueError(f"element {e} appears twice")
                 rep_of[e] = lead
         ground = tuple(sorted(rep_of))
-        return cls(ground, tuple(rep_of[e] for e in ground))
+        index = {e: i for i, e in enumerate(ground)}
+        return cls(ground, tuple(index[rep_of[e]] for e in ground))
 
     @classmethod
     def singletons(cls, ground: Iterable[int]) -> Partition:
         g = tuple(sorted(set(ground)))
-        return cls(g, g)
+        return cls(g, tuple(range(len(g))))
 
     @classmethod
     def merged(cls, ground: Iterable[int], s: Iterable[int]) -> Partition:
@@ -162,35 +221,29 @@ class Partition:
         sset = set(s)
         if not sset <= set(g):
             raise ValueError("merge set must be inside the ground set")
-        lead = min(sset) if sset else None
-        return cls(g, tuple(lead if e in sset else e for e in g))
-
-    @classmethod
-    def from_code(cls, ground: tuple[int, ...], code: Code) -> Partition:
-        """The partition of the sorted `ground` whose positions `code` encodes."""
-        return cls(ground, tuple(ground[i] for i in code))
-
-    def code(self) -> Code:
-        index = {e: i for i, e in enumerate(self.ground)}
-        return tuple(index[r] for r in self.reps)
+        lead = g.index(min(sset)) if sset else None
+        return cls(g, tuple(lead if e in sset else i for i, e in enumerate(g)))
 
     # -- queries ------------------------------------------------------
 
+    @property
+    def reps(self) -> tuple[int, ...]:
+        """Each element's block minimum, element by element."""
+        return tuple(self.ground[i] for i in self.code)
+
     def blocks(self) -> list[tuple[int, ...]]:
         grouped: dict[int, list[int]] = {}
-        for e, r in zip(self.ground, self.reps):
+        for e, r in zip(self.ground, self.code):
             grouped.setdefault(r, []).append(e)
         return [tuple(grouped[r]) for r in sorted(grouped)]
-
-    def block_count(self) -> int:
-        return len(set(self.reps))
 
     # -- lattice operations -------------------------------------------
 
     def meet(self, other: Partition) -> Partition:
         """Finest partition coarser than both (transitive block merging)."""
-        self._check_ground(other)
-        return Partition.from_code(self.ground, meet_codes(self.code(), other.code()))
+        if self.ground != other.ground:
+            raise ValueError("partitions live on different ground sets")
+        return Partition(self.ground, meet_codes(self.code, other.code))
 
     # -- ground-set surgery -------------------------------------------
 
@@ -199,42 +252,32 @@ class Partition:
         keep = set(xs)
         if not keep <= set(self.ground):
             raise ValueError("restriction target must be a subset")
-        lead: dict[int, int] = {}
-        ground = []
-        out = []
-        for e, r in zip(self.ground, self.reps):
-            if e not in keep:
-                continue
-            if r not in lead:
-                lead[r] = e
-            ground.append(e)
-            out.append(lead[r])
-        return Partition(tuple(ground), tuple(out))
+        code = self.code
+        for i in reversed(range(len(code))):
+            if self.ground[i] not in keep:
+                code = drop_code(code, i, False)
+        return Partition(tuple(e for e in self.ground if e in keep), code)
 
     def lift(self, xs: Iterable[int]) -> Partition:
-        """Extend to superset `xs`, new elements as singletons."""
-        target = set(xs)
-        if not set(self.ground) <= target:
+        """Extend to superset `xs`, new elements as singletons; inserted in
+        ascending order, each goes straight to its final position."""
+        own = set(self.ground)
+        target = tuple(sorted(set(xs)))
+        if not own <= set(target):
             raise ValueError("lift target must be a superset")
-        rep_of = dict(zip(self.ground, self.reps))
-        ground = tuple(sorted(target))
-        return Partition(
-            ground, tuple(rep_of.get(e, e) for e in ground)
-        )
-
-    def _check_ground(self, other: Partition) -> None:
-        if self.ground != other.ground:
-            raise ValueError("partitions live on different ground sets")
+        code = self.code
+        for i, e in enumerate(target):
+            if e not in own:
+                code = insert_glue(code, i, ())
+        return Partition(target, code)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
-        return self.ground == other.ground and self.reps == other.reps
+        return self.ground == other.ground and self.code == other.code
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.ground, self.reps))
-        return self._hash
+        return hash((self.ground, self.code))
 
     def __repr__(self) -> str:
         inner = "|".join(",".join(map(str, b)) for b in self.blocks())
@@ -242,31 +285,26 @@ class Partition:
 
 
 def all_partitions(ground: Iterable[int]) -> Iterator[Partition]:
-    """Every partition of the ground set (Bell-number many)."""
-    elems = sorted(set(ground))
-    if not elems:
-        yield Partition((), ())
-        return
+    """Every partition of the ground set (Bell-number many): each element
+    joins each earlier block, by ascending least element, then its own."""
+    elems = tuple(sorted(set(ground)))
 
-    def rec(i: int, blocks: list[list[int]]) -> Iterator[list[list[int]]]:
+    def rec(code: list[int]) -> Iterator[Partition]:
+        i = len(code)
         if i == len(elems):
-            yield blocks
+            yield Partition(elems, tuple(code))
             return
-        e = elems[i]
-        for b in blocks:
-            b.append(e)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        blocks.append([e])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
+        for lead in [j for j in range(i) if code[j] == j] + [i]:
+            code.append(lead)
+            yield from rec(code)
+            code.pop()
 
-    for blocks in rec(0, []):
-        yield Partition.from_blocks(blocks)
+    return rec([])
 
 
 class WeightedPartitionSet:
-    """Partitions of one ground set, each with its minimal weight."""
+    """Partitions of one ground set, each with its minimal weight: a
+    weighted set of codes, keyed by the Partition each code is read as."""
 
     __slots__ = ("ground", "entries")
 
@@ -292,6 +330,13 @@ class WeightedPartitionSet:
         return out
 
     @classmethod
+    def _of_codes(cls, ground: Iterable[int], codes: dict) -> WeightedPartitionSet:
+        """The weighted set `codes` over the positions of sorted `ground`."""
+        out = cls(ground)
+        out.entries = {Partition(out.ground, c): w for c, w in codes.items()}
+        return out
+
+    @classmethod
     def base(cls) -> WeightedPartitionSet:
         """The single empty partition over the empty ground, weight 0."""
         return cls((), {Partition((), ()): 0})
@@ -302,103 +347,79 @@ class WeightedPartitionSet:
     def __repr__(self) -> str:
         return f"WeightedPartitionSet(|U|={len(self.ground)}, size={len(self)})"
 
-    def _min_add(self, p: Partition, w: int) -> None:
-        prev = self.entries.get(p)
-        if prev is None or w < prev:
-            self.entries[p] = w
+    def _codes(self) -> dict[Code, int]:
+        return {p.code: w for p, w in self.entries.items()}
+
+    def _lifted(self, target: tuple[int, ...]) -> dict[Code, int]:
+        """The codes read over the superset `target`; lifting is one-to-one."""
+        return {p.lift(target).code: w for p, w in self.entries.items()}
 
     # -- operators ------------------------------------------------------
 
     def union(self, other: WeightedPartitionSet) -> WeightedPartitionSet:
         if self.ground != other.ground:
             raise ValueError("union needs a common ground set")
-        out = WeightedPartitionSet(self.ground, dict(self.entries))
-        for p, w in other.entries.items():
-            out._min_add(p, w)
-        return out
+        # A one-key table: the union of sets over one ground is keyed alike.
+        out = {(): self.entries}
+        union_into(out, (), other.entries)
+        return WeightedPartitionSet(self.ground, out[()])
 
     def ins(self, xs: Iterable[int]) -> WeightedPartitionSet:
         """Add fresh elements, each as its own singleton block."""
         new = set(xs)
         if new & set(self.ground):
             raise ValueError("inserted elements must be fresh")
-        target = set(self.ground) | new
-        out = WeightedPartitionSet(target)
-        for p, w in self.entries.items():
-            out.entries[p.lift(target)] = w
-        return out
+        target = tuple(sorted(set(self.ground) | new))
+        return WeightedPartitionSet._of_codes(target, self._lifted(target))
 
     def shift(self, extra: int) -> WeightedPartitionSet:
-        return WeightedPartitionSet(
-            self.ground, {p: w + extra for p, w in self.entries.items()}
-        )
+        return WeightedPartitionSet(self.ground, shift_set(self.entries, extra))
 
     def glue(self, s: Iterable[int]) -> WeightedPartitionSet:
-        """Extend the ground by `s` and merge all of `s` into one block."""
+        """Extend the ground by `s` and merge all of `s` into one block: the
+        lifted set's meet with the partition merging `s`, at weight 0."""
         sset = set(s)
-        target = set(self.ground) | sset
-        out = WeightedPartitionSet(target)
-        for p, w in self.entries.items():
-            lifted = p.lift(target)
-            if len(sset) >= 2:
-                s_reps = {r for e, r in zip(lifted.ground, lifted.reps) if e in sset}
-                lead = min(s_reps)
-                lifted = Partition(
-                    lifted.ground,
-                    tuple(lead if r in s_reps else r for r in lifted.reps),
-                )
-            out._min_add(lifted, w)
-        return out
+        target = tuple(sorted(set(self.ground) | sset))
+        merged = {Partition.merged(target, sset).code: 0}
+        codes = meet_sets(self._lifted(target), merged)
+        return WeightedPartitionSet._of_codes(target, codes)
 
     def proj(self, xs: Iterable[int]) -> WeightedPartitionSet:
         """Drop `xs`, keeping only entries where every dropped element shares
-        a block with some kept element."""
+        a block with some kept element.  Dropping one element at a time,
+        highest first, rejects exactly those: the last dropped element of a
+        block needs a kept partner."""
         drop = set(xs)
         if not drop <= set(self.ground):
             raise ValueError("projection target must be a subset")
-        keep = [e for e in self.ground if e not in drop]
-        out = WeightedPartitionSet(keep)
-        for p, w in self.entries.items():
-            kept_reps = {r for e, r in zip(p.ground, p.reps) if e not in drop}
-            if any(
-                r not in kept_reps
-                for e, r in zip(p.ground, p.reps)
-                if e in drop
-            ):
-                continue
-            out._min_add(p.restrict(keep), w)
-        return out
+        codes = self._codes()
+        for i in reversed(range(len(self.ground))):
+            if self.ground[i] in drop:
+                codes = drop_set(codes, i, True)
+        return WeightedPartitionSet._of_codes(set(self.ground) - drop, codes)
 
     def join(self, other: WeightedPartitionSet) -> WeightedPartitionSet:
         """All pairwise combinations over the union ground, weights added."""
-        target = set(self.ground) | set(other.ground)
-        out = WeightedPartitionSet(target)
-        mine = [(p.lift(target), w) for p, w in self.entries.items()]
-        theirs = [(q.lift(target), w) for q, w in other.entries.items()]
-        for p, w1 in mine:
-            for q, w2 in theirs:
-                out._min_add(p.meet(q), w1 + w2)
-        return out
+        target = tuple(sorted(set(self.ground) | set(other.ground)))
+        return WeightedPartitionSet._of_codes(
+            target, meet_sets(self._lifted(target), other._lifted(target))
+        )
 
     def opt(self, q: Partition) -> int | None:
         """Minimal weight among entries whose meet with q is one block."""
         if q.ground != self.ground:
             raise ValueError("demand partition on wrong ground set")
-        best: int | None = None
-        for p, w in self.entries.items():
-            if p.meet(q).block_count() <= 1 and (best is None or w < best):
-                best = w
-        return best
+        return min(
+            (w for p, w in self.entries.items() if not any(meet_codes(p.code, q.code))),
+            default=None,
+        )
 
     # -- representative reduction ----------------------------------------
 
     def reduce(self) -> WeightedPartitionSet:
         """Representative subset of size at most 2^|U| preserving opt."""
-        if not self.ground or len(self.entries) <= 1:
+        if len(self.entries) <= 1:
             return self
-        by_code = {p.code(): p for p in self.entries}
-        kept = reduce_codes({c: self.entries[p] for c, p in by_code.items()})
-        out = WeightedPartitionSet(self.ground, {by_code[c]: w for c, w in kept.items()})
+        out = WeightedPartitionSet._of_codes(self.ground, reduce_codes(self._codes()))
         assert len(out) <= 1 << len(self.ground)
         return out
-

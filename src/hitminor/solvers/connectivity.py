@@ -6,10 +6,10 @@ non-empty bag.  Partial solutions carry a set of weighted partitions of the
 kept bag vertices (their connectivity classes); a partition's weight counts
 the deleted vertices the partial solution has already forgotten, so each
 deletion is paid once, at its forget node.  Each key's set is a plain
-{code: weight} dict.  A code partitions the key's ground positions in bag
-order (the kept positions for C4, the forest positions for paw): entry i is
-the least position in i's block, and the kernels of `partitions` do the
-index work.  Bags are sorted and v0 is last, so position order is vertex-id
+{code: weight} dict, combined by the set operations of `partitions`.  A
+code partitions the key's ground positions in bag order (the kept positions
+for C4, the forest positions for paw): entry i is the least position in
+i's block.  Bags are sorted and v0 is last, so position order is vertex-id
 order and v0 is always the last ground position.  After every node each
 set that holds two or more codes is shrunk to a min-weight representative
 subset, which is what keeps the tables single-exponential in the bag size.
@@ -37,7 +37,14 @@ from __future__ import annotations
 from functools import partial
 
 from ..graph import Graph
-from ..partitions import drop_code, insert_glue, meet_codes, reduce_codes
+from ..partitions import (
+    drop_set,
+    glue_set,
+    meet_sets,
+    reduce_codes,
+    shift_set,
+    union_into,
+)
 from ..treedecomp import NiceTreeDecomposition
 from .engine import bag_adjacency, bits, insert_at, remove_at, run_dp
 
@@ -70,50 +77,6 @@ def _vedge(a: int, b: int) -> tuple[int, int]:
 def _below(mask: int, pos: int) -> int:
     """Index of bag position `pos` among the ground positions in `mask`."""
     return (mask & ((1 << pos) - 1)).bit_count()
-
-
-# The helpers below map a {code: weight} dict to a new one, keeping the
-# least weight of codes that coincide (`w < out.get(code, w + 1)`).
-
-
-def _glued(entries: dict, i: int, glue: list[int]) -> dict:
-    """Insert ground index i as a singleton and merge it with `glue`."""
-    out: dict = {}
-    for code, w in entries.items():
-        code = insert_glue(code, i, glue)
-        if w < out.get(code, w + 1):
-            out[code] = w
-    return out
-
-
-def _project(run: _Run, t: int, entries: dict, i: int) -> dict:
-    """Forget the kept vertex at ground index i.  Below the root, a code in
-    which i's block holds no other bag vertex is dropped: that block can
-    never reach v0.  At the root v0 itself is forgotten, so no code is
-    dropped there."""
-    project = t != run.ntd.root
-    out: dict = {}
-    for code, w in entries.items():
-        code = drop_code(code, i, project)
-        if code is not None and w < out.get(code, w + 1):
-            out[code] = w
-    return out
-
-
-def _shifted(entries: dict) -> dict:
-    """One more forgotten deletion on every code."""
-    return {code: w + 1 for code, w in entries.items()}
-
-
-def _joined(left: dict, right: dict) -> dict:
-    out: dict = {}
-    for c1, w1 in left.items():
-        for c2, w2 in right.items():
-            code = meet_codes(c1, c2)
-            w = w1 + w2
-            if w < out.get(code, w + 1):
-                out[code] = w
-    return out
 
 
 class _Run:
@@ -204,22 +167,6 @@ class _Run:
                 self.max_pset = len(kept)
 
 
-def _accumulate(table: dict, key, entries: dict) -> None:
-    """Add `entries` to table[key], keeping the least weight per code.
-    Stored dicts may be shared between keys, so a merge builds a new one."""
-    if not entries:
-        return
-    prev = table.get(key)
-    if prev is None:
-        table[key] = entries
-        return
-    merged = dict(prev)
-    for code, w in entries.items():
-        if w < merged.get(code, w + 1):
-            merged[code] = w
-    table[key] = merged
-
-
 # ---------------------------------------------------------------------------
 # Deletion to C4-topological-minor-free.
 #
@@ -265,7 +212,7 @@ def _c4_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
         kept = _insert_bit(kept_c, pos)
         s0 = _insert_bit(s0_c, pos)
         if v != v0:
-            _accumulate(out, (kept, s0, redges, c), entries)
+            union_into(out, (kept, s0, redges, c), entries)
         # v's kept plain neighbours.  v0's row is empty, and v0 enters first,
         # into an empty bag, so it has no selected v0-edges to miss.  Those
         # edges are pairwise non-adjacent, so no triangle holds v0 and both
@@ -291,29 +238,33 @@ def _c4_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
         ground = kept | bit
         i = _below(ground, pos)
         glue = [_below(ground, q) for q in nbr_pos] + [i]
-        _accumulate(out, (ground, s0, redges_p, c_p), _glued(entries, i, glue))
+        union_into(out, (ground, s0, redges_p, c_p), glue_set(entries, i, glue))
         # Keeping selected v0-edges pairwise non-adjacent loses nothing:
         # one edge per final component always suffices, and vertices of
         # different components are never adjacent.
         if v != v0 and not nbrs & s0:
             key = (ground, s0 | bit, redges_p, c_p - 1)
             glue_v0 = glue + [ground.bit_count() - 1]
-            _accumulate(out, key, _glued(entries, i, glue_v0))
+            union_into(out, key, glue_set(entries, i, glue_v0))
     return out
 
 
 def _c4_forget(run: _Run, t: int, cpos: int, child: dict) -> dict:
     v = run.ntd.vertex[t]
+    # Below the root, a code in which the forgotten kept vertex's block holds
+    # no other bag vertex is dropped: that block can never reach v0.  At the
+    # root v0 itself is forgotten, so no code is dropped there.
+    project = t != run.ntd.root
     out: dict = {}
     for (kept_c, s0_c, redges, c), entries in child.items():
         kept = _remove_bit(kept_c, cpos)
         s0 = _remove_bit(s0_c, cpos)
         if not kept_c >> cpos & 1:
-            _accumulate(out, (kept, s0, redges, c), _shifted(entries))
+            union_into(out, (kept, s0, redges, c), shift_set(entries, 1))
             continue
         rem = frozenset(e for e in redges if v not in e)
-        projected = _project(run, t, entries, _below(kept_c, cpos))
-        _accumulate(out, (kept, s0, rem, c), projected)
+        projected = drop_set(entries, _below(kept_c, cpos), project)
+        union_into(out, (kept, s0, rem, c), projected)
     return out
 
 
@@ -342,7 +293,7 @@ def _c4_join(run: _Run, t: int, left: dict, right: dict) -> dict:
             if len(redges1 & redges2) != tri_edge_count:
                 continue
             key = (kept, s0, redges1 | redges2, c1 + c2 - shared_c)
-            _accumulate(out, key, _joined(entries1, entries2))
+            union_into(out, key, meet_sets(entries1, entries2))
     return out
 
 
@@ -389,7 +340,7 @@ def _paw_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
     for (labels_c, s0_c, c), entries in child.items():
         s0 = _insert_bit(s0_c, pos)
         if v != v0:
-            _accumulate(out, (insert_at(labels_c, pos, _DEL), s0, c), entries)
+            union_into(out, (insert_at(labels_c, pos, _DEL), s0, c), entries)
 
         forest_adjacent = [q for q in plain_nbrs if labels_c[q] == _FOREST]
         cycle_adjacent = [q for q in plain_nbrs if labels_c[q] >= _CYC0]
@@ -402,11 +353,11 @@ def _paw_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
             i = labels[:pos].count(_FOREST)
             nbrs = [labels[:q].count(_FOREST) for q in nbr_pos if labels[q] == _FOREST]
             key = (labels, s0, c + 1 - len(nbrs))
-            _accumulate(out, key, _glued(entries, i, nbrs + [i]))
+            union_into(out, key, glue_set(entries, i, nbrs + [i]))
             if v != v0:
                 key = (labels, s0 | bit, c - len(nbrs))
                 glue = nbrs + [i, labels.count(_FOREST) - 1]
-                _accumulate(out, key, _glued(entries, i, glue))
+                union_into(out, key, glue_set(entries, i, glue))
 
         # Cycle case: neighbors already in the cycle part gain one degree.
         if (
@@ -421,11 +372,12 @@ def _paw_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
             labels = insert_at(
                 tuple(upd), pos, _CYC0 + len(cycle_adjacent)
             )
-            _accumulate(out, (labels, s0, c), entries)
+            union_into(out, (labels, s0, c), entries)
     return out
 
 
 def _paw_forget(run: _Run, t: int, cpos: int, child: dict) -> dict:
+    project = t != run.ntd.root  # see _c4_forget
     out: dict = {}
     for (labels_c, s0_c, c), entries in child.items():
         label = labels_c[cpos]
@@ -434,10 +386,10 @@ def _paw_forget(run: _Run, t: int, cpos: int, child: dict) -> dict:
         labels = remove_at(labels_c, cpos)
         s0 = _remove_bit(s0_c, cpos)
         if label == _FOREST:
-            entries = _project(run, t, entries, labels_c[:cpos].count(_FOREST))
+            entries = drop_set(entries, labels_c[:cpos].count(_FOREST), project)
         elif label == _DEL:
-            entries = _shifted(entries)
-        _accumulate(out, (labels, s0, c), entries)
+            entries = shift_set(entries, 1)
+        union_into(out, (labels, s0, c), entries)
     return out
 
 
@@ -480,5 +432,5 @@ def _paw_join(run: _Run, t: int, left: dict, right: dict) -> dict:
             if not ok:
                 continue
             key = (tuple(merged), s0, c1 + c2 - shared_c)
-            _accumulate(out, key, _joined(entries1, entries2))
+            union_into(out, key, meet_sets(entries1, entries2))
     return out

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from .errors import FormatError, GuardError, InvalidDecomposition
 from .graph import Graph
 
+EXACT_TD_LIMIT = 16
+
 
 @dataclass
 class TreeDecomposition:
@@ -192,14 +194,14 @@ def heuristic_td(g: Graph) -> TreeDecomposition:
     return _td_from_elimination(order, eliminated)
 
 
-def exact_td_small(g: Graph, limit: int = 16) -> TreeDecomposition:
+def exact_td_small(g: Graph) -> TreeDecomposition:
     """Width-optimal decomposition by subset DP over elimination prefixes.
 
-    Refuses inputs above `limit` vertices: the table has 2^n states.
+    Refuses inputs above EXACT_TD_LIMIT vertices: the table has 2^n states.
     """
-    if g.n > limit:
+    if g.n > EXACT_TD_LIMIT:
         raise GuardError(
-            f"exact decomposition limited to {limit} vertices, got {g.n}"
+            f"exact decomposition limited to {EXACT_TD_LIMIT} vertices, got {g.n}"
         )
     n = g.n
     if n == 0:

@@ -1,7 +1,11 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def load(name):
@@ -27,3 +31,20 @@ def test_ab_bench_summary_reads_direction_per_metric():
     rate, p50 = lines[1].split(), lines[2].split()
     assert rate == ["instances_per_s", "11", "20", "2", "2.000", "2/3"]
     assert p50 == ["solve_s.p50", "0.04", "0.02", "0.02", "0.500", "2/3"]
+
+
+def test_demos_run():
+    """The quick demos run end to end; scaling_tables.py is left out, it
+    takes seconds."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for name in ("decompositions", "freeness_checks", "partition_algebra", "solve_and_verify"):
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "demos" / f"{name}.py")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, (name, done.stderr)
+        if name == "partition_algebra":
+            assert "opt preserved for all 15 demands: True" in done.stdout

@@ -212,7 +212,7 @@ class TestExact:
 
     def test_guard(self):
         with pytest.raises(GuardError):
-            exact_td_small(Graph(20), limit=16)
+            exact_td_small(Graph(20))
 
     def test_never_worse_than_heuristic(self):
         rng = random.Random(4)
