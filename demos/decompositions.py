@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Build tree decompositions, compare heuristic and exact widths, and look at
-the nice normal form the solvers actually consume."""
+the nice normal form every solver consumes, C4 and paw included."""
 
 from hitminor import (
     Graph,
@@ -11,7 +11,6 @@ from hitminor import (
     validate_td,
     write_td,
 )
-from hitminor.treedecomp import lift_v0
 
 
 def main():
@@ -46,17 +45,6 @@ def main():
     ntd = make_nice(heuristic_td(g), g)
     kinds = {k: ntd.kinds.count(k) for k in ("leaf", "introduce", "forget", "join")}
     print(f"   {len(ntd)} nodes, width {ntd.width}, kinds {kinds}")
-    print()
-
-    print("-- universal-vertex variant used by the connectivity solvers")
-    v0 = g.n
-    ntd0 = lift_v0(ntd, v0)
-    nonempty = [t for t in range(len(ntd0)) if ntd0.bags[t]]
-    print(
-        f"   {len(ntd0)} nodes, width {ntd0.width};"
-        f" v0 sits in all {len(nonempty)} non-empty bags:"
-        f" {all(v0 in ntd0.bags[t] for t in nonempty)}"
-    )
 
 
 if __name__ == "__main__":

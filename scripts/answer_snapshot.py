@@ -25,7 +25,6 @@ import random
 from hitminor import Graph, SolveRequest, heuristic_td, make_nice, parse_pattern, solve
 from hitminor.graph import grid_graph
 from hitminor.solvers import solve_c4, solve_paw
-from hitminor.treedecomp import lift_v0
 
 FROZEN = [
     (8, ((0, 5), (1, 3), (1, 7), (2, 3), (3, 4), (4, 6))),
@@ -79,7 +78,7 @@ def main() -> None:
             print(sizes(name, pname, [res.stats], ("max_table_size",)))
         if not connectivity:
             continue
-        ntd = lift_v0(make_nice(heuristic_td(g), g), g.n)
+        ntd = make_nice(heuristic_td(g), g)
         for pname, runner in (("c4", solve_c4), ("paw", solve_paw)):
             res = solve(SolveRequest(graph=g, pattern=parse_pattern(pname)))
             runs, decided = [res.stats], []

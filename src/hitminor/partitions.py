@@ -9,10 +9,11 @@ the connectivity solvers call them on their table entries.
 holds a sorted ground tuple and its code, and every WeightedPartitionSet
 operator runs the set operations on its entries' codes, keeping at most one
 (minimal) weight per partition.  `reduce` shrinks a collection to a
-representative subset of size at most 2^|U| that preserves `opt` against
-every possible future connectivity demand; it keeps the rows of a cut matrix
-that stay linearly independent over GF(2), scanning entries by ascending
-weight with a canonical tie-break.
+representative subset that preserves `opt` against every possible future
+connectivity demand; it keeps the rows of a cut matrix that stay linearly
+independent over GF(2), scanning entries by ascending weight with a
+canonical tie-break.  Position 0 is fixed on one side of every cut, so the
+matrix has 2^(|U|-1) columns, and that rank bounds the subset's size.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def _cut_row(code: Code) -> int:
 
 def reduce_codes(entries: dict[Code, int]) -> dict[Code, int]:
     """Representative subset of {code: weight}, all codes of one length n,
-    of size at most 2^n preserving opt: entries by ascending (weight, code)
+    of size at most 2^(n-1) preserving opt: entries by ascending (weight, code)
     whose cut rows stay independent over GF(2)."""
     if len(entries) <= 1:
         return entries
@@ -140,11 +141,11 @@ def glue_set(entries: dict, i: int, glue: Iterable[int]) -> dict:
     return out
 
 
-def drop_set(entries: dict, i: int, project: bool) -> dict:
-    """`drop_code` on every code; with `project`, codes it rejects go."""
+def drop_set(entries: dict, i: int) -> dict:
+    """Projecting `drop_code` on every code; codes it rejects go."""
     out: dict = {}
     for code, w in entries.items():
-        code = drop_code(code, i, project)
+        code = drop_code(code, i, True)
         if code is not None and w < out.get(code, w + 1):
             out[code] = w
     return out
@@ -395,7 +396,7 @@ class WeightedPartitionSet:
         codes = self._codes()
         for i in reversed(range(len(self.ground))):
             if self.ground[i] in drop:
-                codes = drop_set(codes, i, True)
+                codes = drop_set(codes, i)
         return WeightedPartitionSet._of_codes(set(self.ground) - drop, codes)
 
     def join(self, other: WeightedPartitionSet) -> WeightedPartitionSet:
@@ -417,9 +418,9 @@ class WeightedPartitionSet:
     # -- representative reduction ----------------------------------------
 
     def reduce(self) -> WeightedPartitionSet:
-        """Representative subset of size at most 2^|U| preserving opt."""
+        """Representative subset of size at most 2^(|U|-1) preserving opt."""
         if len(self.entries) <= 1:
             return self
         out = WeightedPartitionSet._of_codes(self.ground, reduce_codes(self._codes()))
-        assert len(out) <= 1 << len(self.ground)
+        assert len(out) <= 1 << len(self.ground) - 1
         return out

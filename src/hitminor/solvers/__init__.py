@@ -2,8 +2,9 @@
 
 `solve` prepares the decomposition pipeline (heuristic unless one is
 supplied), dispatches to the right dynamic program, and reports per-run
-statistics.  The pipeline validates and makes the decomposition nice once;
-C4 and paw lift that nice form with a universal vertex in every bag.  Chair
+statistics.  The pipeline validates and makes the decomposition nice once,
+and every solver runs on that one nice form; C4 and paw keep their
+universal vertex implicit in their partition codes, not in the bags.  Chair
 and banner have no table solver here; they are served by the exhaustive
 oracle and requesting them raises.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 from ..graph import Graph
 from ..patterns import Pattern, SOLVER_KINDS
-from ..treedecomp import TreeDecomposition, heuristic_td, lift_v0, make_nice
+from ..treedecomp import TreeDecomposition, heuristic_td, make_nice
 
 # Not called here: perfbench/tracing.py times these helpers by patching them
 # under this module's name, so they stay importable from it.
@@ -89,7 +90,6 @@ def solve(req: SolveRequest) -> SolveResult:
     ntd = make_nice(td, g)
 
     if pattern.kind in ("c4", "paw"):
-        ntd = lift_v0(ntd, g.n)
         runner = solve_c4 if pattern.kind == "c4" else solve_paw
         if req.mode == "decide":
             found = runner(g, ntd, stats=stats, budget=req.k)

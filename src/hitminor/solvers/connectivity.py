@@ -1,35 +1,37 @@
 """Connectivity-tracking solvers: deletion to C4-free and to paw-free graphs.
 
 Both run one pass of the rank-based dynamic program over a nice decomposition
-of the input augmented with a universal vertex v0 that belongs to every
-non-empty bag.  Partial solutions carry a set of weighted partitions of the
-kept bag vertices (their connectivity classes); a partition's weight counts
+of the input.  The solution graph gains a universal vertex v0, so that
+"connected" means "reaches v0"; v0 is in no bag, it is implicit in every
+code.  Partial solutions carry a set of weighted partitions of the kept bag
+vertices plus v0 (their connectivity classes); a partition's weight counts
 the deleted vertices the partial solution has already forgotten, so each
 deletion is paid once, at its forget node.  Each key's set is a plain
 {code: weight} dict, combined by the set operations of `partitions`.  A
 code partitions the key's ground positions in bag order (the kept positions
-for C4, the forest positions for paw): entry i is the least position in
-i's block.  Bags are sorted and v0 is last, so position order is vertex-id
-order and v0 is always the last ground position.  After every node each
-set that holds two or more codes is shrunk to a min-weight representative
-subset, which is what keeps the tables single-exponential in the bag size.
-The answer is the least weight at the root, where every vertex is
-forgotten; with a budget, an entry is dropped as soon as its weight plus
-its key's deleted bag vertices exceeds it.
+for C4, the forest positions for paw), followed by one last position for
+v0: entry i is the least position in i's block.  Bags are sorted, so
+position order is vertex-id order.  After every node each set that holds
+two or more codes is shrunk to a min-weight representative subset, which
+is what keeps the tables single-exponential in the bag size.  The answer
+is the least weight at the root, where every bag vertex is forgotten and
+v0 alone is left; with a budget, an entry is dropped as soon as its weight
+plus its key's deleted bag vertices exceeds it.
 
 Correctness rests on a counter rather than on local cycle checks: a kept
 graph whose blocks are edges and triangles (C4-free) with i vertices, j
 edges and l triangles has c = i - j + l components, and a kept forest part
-with i vertices and j edges has c = i - j.  Each key carries that c, so the
-solution is connected exactly when c = 1 at the root.  Any other cycle
-leaves more components than c, and entries whose partition disagrees with c
-are dropped; the one local check left is that no edge lies in two triangles
-(a diamond keeps the count right).  Introduce reads the new vertex's bag
+with i vertices and j edges has c = i - j; v0 and its selected edges count
+too.  Each key carries that c, so the solution is connected exactly when
+c = 1 at the root.  Any other cycle leaves more components than c, and
+entries whose partition disagrees with c are dropped; the one local check
+left is that no edge lies in two triangles (a diamond keeps the count
+right).  Introduce reads the new vertex's bag
 neighbours from one row of the node's bag adjacency bitmasks, and a join
 subtracts once the bag vertices, edges and triangles both sides counted.
 Connectivity itself is forced by the projection step at forget nodes: a
-forgotten vertex whose block holds no bag vertex can never reach v0, so its
-entries are dropped (the root, where v0 itself is forgotten, is exempt).
+forgotten vertex whose block holds no other bag vertex and not v0 can
+never reach v0, so its entries are dropped.
 """
 
 from __future__ import annotations
@@ -81,24 +83,22 @@ def _below(mask: int, pos: int) -> int:
 
 class _Run:
     """State of one solve, which is a single pass: the decomposition, the
-    plain adjacency of every bag (`adj[t][pos]`, a bitmask of bag positions
-    read from g, which has no v0: v0-edges only enter the solution graph
-    when a key selects them) and the budget.  Table keys end with the
-    component count c and map to {code: weight} dicts; a weight counts the
-    deleted vertices the subtree has forgotten, and the budget test adds the
-    key's deleted bag vertices."""
+    adjacency of every bag in g (`adj[t][pos]`, a bitmask of bag positions;
+    v0-edges only enter the solution graph when a key selects them) and the
+    budget.  Table keys end with the component count c and map to
+    {code: weight} dicts; a weight counts the deleted vertices the subtree
+    has forgotten, and the budget test adds the key's deleted bag
+    vertices."""
 
-    __slots__ = ("v0", "ntd", "adj", "budget", "stats", "max_pset")
+    __slots__ = ("ntd", "adj", "budget", "stats", "max_pset")
 
     def __init__(self, g, ntd, budget, stats):
-        v0 = g.n
         for t, bag in enumerate(ntd.bags):
-            if bag and v0 not in bag:
+            if bag and bag[-1] >= g.n:
                 raise ValueError(
-                    "decomposition lacks the universal-vertex property: "
-                    f"non-empty bag at node {t} misses vertex {v0}"
+                    f"bag at node {t} holds vertex {bag[-1]}, which is not in"
+                    f" the {g.n}-vertex graph; v0 is implicit, not a bag vertex"
                 )
-        self.v0 = v0
         self.ntd = ntd
         self.adj = [bag_adjacency(g, bag) for bag in ntd.bags]
         # No partial deletes more than all n vertices, so n is no bound.
@@ -108,12 +108,13 @@ class _Run:
 
     def dp(self, leaf_key, introduce, forget, join, bag_deleted) -> int | None:
         """Run the engine with the solver's hooks bound to this run and
-        return the least weight of a connected (c == 1) root entry.
+        return the least weight at the root, where `finish_node` leaves
+        only connected (c == 1) entries.  The leaf's one code is v0 alone.
         `bag_deleted(bag_size, key)` counts a key's deleted bag vertices; it
         is bound here, not stored, so the run holds no reference to itself."""
         root_table = run_dp(
             self.ntd,
-            lambda: {leaf_key: {(): 0}},
+            lambda: {leaf_key: {(0,): 0}},
             partial(introduce, self),
             partial(forget, self),
             partial(join, self),
@@ -125,25 +126,18 @@ class _Run:
                 self.stats.get("max_partition_set_size", 0), self.max_pset
             )
         return min(
-            (
-                w
-                for key, entries in root_table.items()
-                if key[-1] == 1
-                for w in entries.values()
-            ),
+            (w for entries in root_table.values() for w in entries.values()),
             default=None,
         )
 
     def finish_node(self, bag_deleted, t: int, table: dict) -> None:
-        # Every component of a viable partial holds a bag vertex (forgetting
-        # the last one is blocked by the projection), so its component count
-        # equals the partition's block count.  A partial whose count c
-        # disagrees with that already contains the pattern and never
-        # recovers; drop such entries, and those over budget, before
-        # reducing.  The root's ground set is empty, so there only the
-        # budget applies and `dp` checks c itself.  This is the only cycle
-        # check; see the module docstring.
-        at_root = t == self.ntd.root
+        # Every component of a viable partial holds a bag vertex or v0
+        # (forgetting the last one is blocked by the projection), so its
+        # component count equals the partition's block count.  A partial
+        # whose count c disagrees with that already contains the pattern and
+        # never recovers; drop such entries, and those over budget, before
+        # reducing.  At the root every code is (0,), so only c == 1 stays.
+        # This is the only cycle check; see the module docstring.
         bag_size = len(self.ntd.bags[t])
         for key, entries in list(table.items()):
             want = key[-1]
@@ -151,14 +145,14 @@ class _Run:
             kept = {
                 code: w
                 for code, w in entries.items()
-                if w <= budget and (at_root or len(set(code)) == want)
+                if w <= budget and len(set(code)) == want
             }
             if not kept:
                 del table[key]
                 continue
             if len(kept) > 1:
                 kept = reduce_codes(kept)
-                assert len(kept) <= 1 << len(next(iter(kept)))
+                assert len(kept) <= 1 << len(next(iter(kept))) - 1
             # kept is a subset of entries.  Keep the stored dict when it is
             # whole: it may be shared with other keys, which saves memory.
             if len(kept) < len(entries):
@@ -171,7 +165,8 @@ class _Run:
 # Deletion to C4-topological-minor-free.
 #
 # Key: (kept bag mask, selected-v0-edge mask, edges currently in a triangle,
-# component count c = kept vertices - kept edges + kept triangles).  The edge
+# component count c = kept vertices + 1 - kept edges + kept triangles, where
+# the 1 is v0 and the edges include the selected v0-edges).  The edge
 # set uses vertex-id pairs so it survives bag changes untouched.
 
 
@@ -183,17 +178,17 @@ def solve_c4(
 ) -> int | None:
     """Minimum deletions making g C4-TM-free.
 
-    `ntd` must be a nice decomposition of g plus a universal vertex (id g.n)
-    present in every non-empty bag.  With a budget, returns the minimum if it
-    is at most the budget, else None; without one, always returns the
-    minimum.  Either way it is a single pass.
+    `ntd` must be a nice decomposition of g; a bag vertex outside g raises
+    ValueError.  With a budget, returns the minimum if it is at most the
+    budget, else None; without one, always returns the minimum.  Either way
+    it is a single pass.
     """
     return _c4_pass(_Run(g, ntd, budget, stats))
 
 
 def _c4_pass(run: _Run) -> int | None:
     return run.dp(
-        (0, 0, frozenset(), 0), _c4_introduce, _c4_forget, _c4_join, _c4_bag_deleted
+        (0, 0, frozenset(), 1), _c4_introduce, _c4_forget, _c4_join, _c4_bag_deleted
     )
 
 
@@ -205,18 +200,15 @@ def _c4_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
     adj = run.adj[t]
     bag = run.ntd.bags[t]
     v = bag[pos]
-    v0 = run.v0
     bit = 1 << pos
     out: dict = {}
     for (kept_c, s0_c, redges, c), entries in child.items():
         kept = _insert_bit(kept_c, pos)
         s0 = _insert_bit(s0_c, pos)
-        if v != v0:
-            union_into(out, (kept, s0, redges, c), entries)
-        # v's kept plain neighbours.  v0's row is empty, and v0 enters first,
-        # into an empty bag, so it has no selected v0-edges to miss.  Those
-        # edges are pairwise non-adjacent, so no triangle holds v0 and both
-        # choices below share these.
+        union_into(out, (kept, s0, redges, c), entries)
+        # v's kept neighbours in g.  Selected v0-edges are pairwise
+        # non-adjacent, so no triangle holds v0 and both choices below share
+        # these.
         nbrs = adj[pos] & kept
         nbr_pos = bits(nbrs)
         # Each neighbour's partners among v's other neighbours.  Two
@@ -234,7 +226,7 @@ def _c4_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
             continue
         redges_p = redges | new_tris
         c_p = c + 1 - len(nbr_pos) + sum(1 for m in partners if m) // 2
-        # Ground indices over the new kept mask; v0, always kept, is last.
+        # Ground indices over the new kept mask; v0 follows them.
         ground = kept | bit
         i = _below(ground, pos)
         glue = [_below(ground, q) for q in nbr_pos] + [i]
@@ -242,19 +234,17 @@ def _c4_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
         # Keeping selected v0-edges pairwise non-adjacent loses nothing:
         # one edge per final component always suffices, and vertices of
         # different components are never adjacent.
-        if v != v0 and not nbrs & s0:
+        if not nbrs & s0:
             key = (ground, s0 | bit, redges_p, c_p - 1)
-            glue_v0 = glue + [ground.bit_count() - 1]
+            glue_v0 = glue + [ground.bit_count()]
             union_into(out, key, glue_set(entries, i, glue_v0))
     return out
 
 
 def _c4_forget(run: _Run, t: int, cpos: int, child: dict) -> dict:
     v = run.ntd.vertex[t]
-    # Below the root, a code in which the forgotten kept vertex's block holds
-    # no other bag vertex is dropped: that block can never reach v0.  At the
-    # root v0 itself is forgotten, so no code is dropped there.
-    project = t != run.ntd.root
+    # A code in which the forgotten kept vertex's block holds no other
+    # position is dropped: that block can never reach v0.
     out: dict = {}
     for (kept_c, s0_c, redges, c), entries in child.items():
         kept = _remove_bit(kept_c, cpos)
@@ -263,7 +253,7 @@ def _c4_forget(run: _Run, t: int, cpos: int, child: dict) -> dict:
             union_into(out, (kept, s0, redges, c), shift_set(entries, 1))
             continue
         rem = frozenset(e for e in redges if v not in e)
-        projected = drop_set(entries, _below(kept_c, cpos), project)
+        projected = drop_set(entries, _below(kept_c, cpos))
         union_into(out, (kept, s0, rem, c), projected)
     return out
 
@@ -274,10 +264,10 @@ def _c4_join(run: _Run, t: int, left: dict, right: dict) -> dict:
     for (kept, s0, redges, c), entries in right.items():
         group = grouped.get((kept, s0))
         if group is None:
-            # Bag vertices, edges (v0-edges included) and triangles are
-            # counted by both sides.
+            # Bag vertices and v0, edges (v0-edges included) and triangles
+            # are counted by both sides.
             edges, tris = _bag_counts(adj, kept)
-            shared_c = kept.bit_count() - edges - s0.bit_count() + tris
+            shared_c = kept.bit_count() + 1 - edges - s0.bit_count() + tris
             group = grouped[kept, s0] = (shared_c, 3 * tris, [])
         group[2].append((redges, c, entries))
     out: dict = {}
@@ -302,7 +292,8 @@ def _c4_join(run: _Run, t: int, left: dict, right: dict) -> dict:
 #
 # Per-vertex labels: 0 deleted, 1 forest part, 2/3/4 cycle part with current
 # internal degree 0/1/2.  Key: (labels, selected-v0-edge mask, forest
-# component count c = forest vertices - forest edges).
+# component count c = forest vertices + 1 - forest edges, where the 1 is v0,
+# which is in the forest part, and the edges include the selected v0-edges).
 
 _DEL, _FOREST, _CYC0, _CYC1, _CYC2 = range(5)
 
@@ -322,7 +313,7 @@ def _forest_mask(labels: tuple[int, ...]) -> int:
 
 
 def _paw_pass(run: _Run) -> int | None:
-    return run.dp(((), 0, 0), _paw_introduce, _paw_forget, _paw_join, _paw_bag_deleted)
+    return run.dp(((), 0, 1), _paw_introduce, _paw_forget, _paw_join, _paw_bag_deleted)
 
 
 def _paw_bag_deleted(bag_size: int, key) -> int:
@@ -330,17 +321,13 @@ def _paw_bag_deleted(bag_size: int, key) -> int:
 
 
 def _paw_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
-    bag = run.ntd.bags[t]
-    v = bag[pos]
-    v0 = run.v0
     bit = 1 << pos
     nbr_pos = bits(run.adj[t][pos])
     plain_nbrs = [q if q < pos else q - 1 for q in nbr_pos]
     out: dict = {}
     for (labels_c, s0_c, c), entries in child.items():
         s0 = _insert_bit(s0_c, pos)
-        if v != v0:
-            union_into(out, (insert_at(labels_c, pos, _DEL), s0, c), entries)
+        union_into(out, (insert_at(labels_c, pos, _DEL), s0, c), entries)
 
         forest_adjacent = [q for q in plain_nbrs if labels_c[q] == _FOREST]
         cycle_adjacent = [q for q in plain_nbrs if labels_c[q] >= _CYC0]
@@ -348,21 +335,18 @@ def _paw_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
         # Forest case: no plain edge may run into the cycle part.
         if not cycle_adjacent:
             labels = insert_at(labels_c, pos, _FOREST)
-            # Ground indices over the forest positions; v0, always in the
-            # forest part, is last.
+            # Ground indices over the forest positions; v0 follows them.
             i = labels[:pos].count(_FOREST)
             nbrs = [labels[:q].count(_FOREST) for q in nbr_pos if labels[q] == _FOREST]
             key = (labels, s0, c + 1 - len(nbrs))
             union_into(out, key, glue_set(entries, i, nbrs + [i]))
-            if v != v0:
-                key = (labels, s0 | bit, c - len(nbrs))
-                glue = nbrs + [i, labels.count(_FOREST) - 1]
-                union_into(out, key, glue_set(entries, i, glue))
+            key = (labels, s0 | bit, c - len(nbrs))
+            glue = nbrs + [i, labels.count(_FOREST)]
+            union_into(out, key, glue_set(entries, i, glue))
 
         # Cycle case: neighbors already in the cycle part gain one degree.
         if (
-            v != v0
-            and not forest_adjacent
+            not forest_adjacent
             and len(cycle_adjacent) <= 2
             and all(labels_c[q] in (_CYC0, _CYC1) for q in cycle_adjacent)
         ):
@@ -377,7 +361,6 @@ def _paw_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
 
 
 def _paw_forget(run: _Run, t: int, cpos: int, child: dict) -> dict:
-    project = t != run.ntd.root  # see _c4_forget
     out: dict = {}
     for (labels_c, s0_c, c), entries in child.items():
         label = labels_c[cpos]
@@ -386,7 +369,7 @@ def _paw_forget(run: _Run, t: int, cpos: int, child: dict) -> dict:
         labels = remove_at(labels_c, cpos)
         s0 = _remove_bit(s0_c, cpos)
         if label == _FOREST:
-            entries = drop_set(entries, labels_c[:cpos].count(_FOREST), project)
+            entries = drop_set(entries, labels_c[:cpos].count(_FOREST))
         elif label == _DEL:
             entries = shift_set(entries, 1)
         union_into(out, (labels, s0, c), entries)
@@ -404,10 +387,11 @@ def _paw_join(run: _Run, t: int, left: dict, right: dict) -> dict:
         kinds = kind_key(labels)
         group = grouped.get((kinds, s0))
         if group is None:
-            # Bag forest vertices and edges (v0-edges included) are counted
-            # by both sides.
+            # Bag forest vertices and v0, and edges (v0-edges included) are
+            # counted by both sides.
             forest = _forest_mask(kinds)
-            shared_c = forest.bit_count() - _bag_counts(adj, forest)[0] - s0.bit_count()
+            edges = _bag_counts(adj, forest)[0] + s0.bit_count()
+            shared_c = forest.bit_count() + 1 - edges
             group = grouped[kinds, s0] = (shared_c, [])
         group[1].append((labels, c, entries))
     out: dict = {}

@@ -17,13 +17,9 @@ from ..treedecomp import FORGET, INTRODUCE, LEAF, NiceTreeDecomposition
 
 def bag_adjacency(g: Graph, bag: tuple[int, ...]) -> list[int]:
     """For each bag position, the bitmask of the positions of its neighbours
-    in g.  A vertex outside g (the connectivity solvers' universal vertex)
-    gets an empty row."""
+    in g."""
     index = {v: i for i, v in enumerate(bag)}
-    return [
-        sum(1 << index[w] for w in g.neighbors(v) if w in index) if v < g.n else 0
-        for v in bag
-    ]
+    return [sum(1 << index[w] for w in g.neighbors(v) if w in index) for v in bag]
 
 
 def bits(mask: int) -> list[int]:
@@ -86,6 +82,6 @@ def run_dp(
         tables[t] = table
     if stats is not None:
         stats["max_table_size"] = max(stats.get("max_table_size", 0), max_table)
-    root_table = tables[ntd.root]
+    root_table = tables[-1]  # post-order: the root is the last node
     assert root_table is not None
     return root_table

@@ -251,7 +251,7 @@ class TestReduce:
         for _ in range(40):
             k = rng.randrange(1, 7)
             a = random_wps(tuple(range(k)), 80, rng)
-            assert len(a.reduce()) <= 2 ** k
+            assert len(a.reduce()) <= 2 ** (k - 1)
 
     def test_represents_exhaustively(self):
         rng = random.Random(11)

@@ -11,7 +11,6 @@ from hitminor import (
     P4,
     PAW,
     SolveRequest,
-    augment_universal,
     disjoint_union,
     exact_td_small,
     grid_graph,
@@ -106,11 +105,16 @@ class TestRequestValidation:
         with pytest.raises(ValueError, match="invalid"):
             solve(SolveRequest(graph=g, pattern=P3, decomposition=bad))
 
-    def test_v0_property_required(self):
+    def test_lifted_decomposition_rejected(self):
+        # v0 is implicit: a decomposition whose bags hold it as vertex g.n
+        # names a vertex outside g.
+        from hitminor.treedecomp import lift_v0
+
         g = cycle_graph(4)
-        ntd = make_nice(heuristic_td(g), g)
-        with pytest.raises(ValueError, match="universal"):
-            solve_c4(g, ntd)
+        ntd = lift_v0(make_nice(heuristic_td(g), g), g.n)
+        for runner in (solve_c4, solve_paw):
+            with pytest.raises(ValueError, match="not in"):
+                runner(g, ntd)
 
 
 class TestOracleAgreement:
@@ -312,24 +316,21 @@ class TestPipelines:
 
 
 def _bag_view(g: Graph, bag, kept: int, s0: int) -> Graph:
-    """The kept bag vertices of a C4/paw key, their edges in g and the
-    selected edges to the universal vertex v0 = g.n."""
-    v0 = g.n
+    """The kept bag vertices of a C4/paw key, their edges in g, and the
+    implicit universal vertex v0 (the last vertex) with its selected edges."""
     pos = [p for p in range(len(bag)) if kept >> p & 1]
     index = {bag[p]: i for i, p in enumerate(pos)}
-    plain = [u for u in index if u != v0]
+    v0 = len(pos)
     edges = [
-        (index[u], index[w]) for u in plain for w in plain if u < w and g.has_edge(u, w)
+        (index[u], index[w]) for u in index for w in index if u < w and g.has_edge(u, w)
     ]
-    if v0 in index:
-        edges += [(index[v0], index[bag[p]]) for p in pos if s0 >> p & 1]
-    return Graph(len(pos), edges)
+    edges += [(v0, index[bag[p]]) for p in pos if s0 >> p & 1]
+    return Graph(len(pos) + 1, edges)
 
 
 def _stored_tables(monkeypatch, solver, g):
     """Every (node, table) a C4/paw solve keeps after `finish`."""
     import hitminor.solvers.connectivity as conn
-    from hitminor.treedecomp import lift_v0
 
     seen = []
     original = conn.run_dp
@@ -342,7 +343,7 @@ def _stored_tables(monkeypatch, solver, g):
         return original(ntd, *hooks, finish=spy_finish, **kwargs)
 
     monkeypatch.setattr(conn, "run_dp", spy_run_dp)
-    solver(g, lift_v0(make_nice(heuristic_td(g), g), g.n))
+    solver(g, make_nice(heuristic_td(g), g))
     assert seen
     return seen
 
@@ -485,8 +486,6 @@ class TestSinglePass:
                     assert solve(req).answer == (opt <= k)
 
     def test_budget_contract_above_oracle_guard(self):
-        from hitminor.treedecomp import lift_v0
-
         rng = random.Random(77)
         checked = 0
         while checked < 20:
@@ -496,7 +495,7 @@ class TestSinglePass:
             if td.width > 5:
                 continue
             checked += 1
-            ntd = lift_v0(make_nice(td, g), g.n)
+            ntd = make_nice(td, g)
             for runner in (solve_c4, solve_paw):
                 m = runner(g, ntd)
                 assert runner(g, ntd, budget=m) == m
@@ -531,9 +530,9 @@ class TestDecompositionPipeline:
         solve(SolveRequest(graph=g, pattern=pattern, decomposition=td))
         assert calls == {"validate_td": 1, "augment_universal": 0}
 
-    def test_c4_decomposition_matches_make_nice_v0(self, monkeypatch):
+    @pytest.mark.parametrize("pattern", [C4, PAW], ids=["c4", "paw"])
+    def test_connectivity_solvers_get_plain_nice_form(self, monkeypatch, pattern):
         import hitminor.solvers as solvers_mod
-        from hitminor.treedecomp import TreeDecomposition, make_nice_v0
 
         built = []
 
@@ -541,17 +540,12 @@ class TestDecompositionPipeline:
             built.append(ntd)
             return 0
 
-        monkeypatch.setattr(solvers_mod, "solve_c4", capture)
+        monkeypatch.setattr(solvers_mod, f"solve_{pattern.kind}", capture)
         rng = random.Random(31)
         for _ in range(50):
             g = random_graph(rng.randrange(0, 13), rng.random() * 0.5, rng)
-            solve(SolveRequest(graph=g, pattern=C4))
+            solve(SolveRequest(graph=g, pattern=pattern))
             ntd = built.pop()
-            td = heuristic_td(g)
-            td0 = TreeDecomposition(
-                bags=[bag | {g.n} for bag in td.bags] or [frozenset({g.n})],
-                edges=list(td.edges),
-            )
-            want = make_nice_v0(td0, augment_universal(g), g.n)
+            want = make_nice(heuristic_td(g), g)
             for attr in ("kinds", "vertex", "bags", "children"):
                 assert getattr(ntd, attr) == getattr(want, attr)
