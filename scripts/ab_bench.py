@@ -10,8 +10,9 @@ ones.  The machine's speed drifts over minutes, so only runs taken side by
 side like this are compared.  For each end-to-end metric of
 `BENCHMARK.json` it prints both medians, the interquartile range of the
 parent's runs, the median of the per-pair change/parent ratios and in how
-many pairs the change was better.  The exit code is 1 when a run failed or
-gave a wrong answer.
+many pairs the change was better, then each side's failed and attempted
+queries summed over its runs (a change must not raise the failure share).
+The exit code is 1 when a run failed or gave a wrong answer.
 
 Only the standard library is used, and nothing under `perfbench/` changes.
 """
@@ -73,6 +74,18 @@ def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> li
     return lines
 
 
+def failure_line(parent: list[dict], change: list[dict]) -> str:
+    """Each side's failed / attempted queries over all its runs, from the
+    runs' result objects, and the failed share."""
+    parts = []
+    for side, runs in (("parent", parent), ("change", change)):
+        failed = sum(run.get("failed", 0) for run in runs)
+        attempted = sum(run.get("attempted", 0) for run in runs)
+        share = failed / attempted if attempted else 0.0
+        parts.append(f"{side} {failed}/{attempted} ({share:.4g})")
+    return "failed/attempted: " + ", ".join(parts)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("rev", help="the parent revision, e.g. HEAD or HEAD~1")
@@ -97,18 +110,20 @@ def main(argv=None) -> int:
                 for side, checkout, runs in sides if seed % 2 else sides[::-1]:
                     result = bench(checkout, args.workload, seed)
                     ok &= result["correct"] and bool(result["metrics"])
-                    runs.append(result["metrics"])
+                    runs.append(result)
                     rate = result["metrics"].get("instances_per_s", {}).get("value")
                     print(f"pair {seed} {side}: instances_per_s={rate}", flush=True)
         finally:
             subprocess.run(
                 ["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, check=False
             )
+    print(failure_line(parent, change))
     if not ok:
         print("error: a run failed or gave a wrong answer", file=sys.stderr)
         return 1
     print(f"{args.workload}: {args.pairs} pairs of {SECONDS} s, {args.rev} vs working tree")
-    for line in summarize(metrics, parent, change):
+    before, after = ([run["metrics"] for run in runs] for runs in (parent, change))
+    for line in summarize(metrics, before, after):
         print(line)
     return 0
 

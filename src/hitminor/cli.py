@@ -209,29 +209,30 @@ def cmd_bench(args) -> int:
     mode = "decide" if args.k is not None else "minimize"
 
     any_mismatch = False
-    bad_input = False
+    failures: set[int] = set()
     solved = 0
     peak = 0
     for path in files:
         try:
             g = read_gr(str(path))
-        except FormatError as exc:
-            # A malformed file fails only its own instance.
-            bad_input = True
+            report, mismatch = _run_instance(
+                name=path.stem,
+                g=g,
+                pattern=pattern,
+                mode=mode,
+                k=args.k,
+                td=None,
+                verify=args.verify,
+                with_time=args.timings,
+            )
+        except (FormatError, GuardError) as exc:
+            # A malformed file or an instance over a size guard fails only
+            # itself.
+            failures.add(EXIT_GUARD if isinstance(exc, GuardError) else EXIT_FORMAT)
             record = {"schema": REPORT_SCHEMA, "input": path.stem, "error": str(exc)}
             print(json.dumps(record, sort_keys=True))
             print(f"error: {path.name}: {exc}", file=sys.stderr)
             continue
-        report, mismatch = _run_instance(
-            name=path.stem,
-            g=g,
-            pattern=pattern,
-            mode=mode,
-            k=args.k,
-            td=None,
-            verify=args.verify,
-            with_time=args.timings,
-        )
         solved += 1
         any_mismatch |= mismatch
         peak = max(peak, report.peak_table_size)
@@ -248,7 +249,8 @@ def cmd_bench(args) -> int:
     if any_mismatch:
         print("error: verification mismatch", file=sys.stderr)
         return EXIT_MISMATCH
-    return EXIT_FORMAT if bad_input else EXIT_OK
+    # A guard failure (4) outranks a format error (3).
+    return max(failures, default=EXIT_OK)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -26,17 +26,15 @@ too.  Each key carries that c, so the solution is connected exactly when
 c = 1 at the root.  Any other cycle leaves more components than c, and
 entries whose partition disagrees with c are dropped; the one local check
 left is that no edge lies in two triangles (a diamond keeps the count
-right).  Introduce reads the new vertex's bag
-neighbours from one row of the node's bag adjacency bitmasks, and a join
-subtracts once the bag vertices, edges and triangles both sides counted.
+right).  Introduce reads the new vertex's bag neighbours from one row of the
+bag adjacency bitmasks the engine hands it, and a join subtracts once the
+bag vertices, edges and triangles both sides counted.
 Connectivity itself is forced by the projection step at forget nodes: a
 forgotten vertex whose block holds no other bag vertex and not v0 can
 never reach v0, so its entries are dropped.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 from ..graph import Graph
 from ..partitions import (
@@ -48,17 +46,7 @@ from ..partitions import (
     union_into,
 )
 from ..treedecomp import NiceTreeDecomposition
-from .engine import bag_adjacency, bits, insert_at, remove_at, run_dp
-
-
-def _insert_bit(mask: int, pos: int) -> int:
-    low = mask & ((1 << pos) - 1)
-    return low | ((mask >> pos) << (pos + 1))
-
-
-def _remove_bit(mask: int, pos: int) -> int:
-    low = mask & ((1 << pos) - 1)
-    return low | ((mask >> (pos + 1)) << pos)
+from .engine import bits, insert_at, insert_bit, remove_at, remove_bit, run_dp
 
 
 def _bag_counts(adj: list[int], mask: int) -> tuple[int, int]:
@@ -81,56 +69,19 @@ def _below(mask: int, pos: int) -> int:
     return (mask & ((1 << pos) - 1)).bit_count()
 
 
-class _Run:
-    """State of one solve, which is a single pass: the decomposition, the
-    adjacency of every bag in g (`adj[t][pos]`, a bitmask of bag positions;
-    v0-edges only enter the solution graph when a key selects them) and the
-    budget.  Table keys end with the component count c and map to
-    {code: weight} dicts; a weight counts the deleted vertices the subtree
-    has forgotten, and the budget test adds the key's deleted bag
-    vertices."""
+def _dp(g, ntd, budget, stats, leaf_key, hooks, bag_deleted) -> int | None:
+    """Run the engine with one solver's introduce, forget and join `hooks`
+    from a leaf table holding `leaf_key`, and return the least weight
+    at the root, where `finish` leaves only connected (c == 1) entries.
+    Table keys end with the component count c and map to {code: weight}
+    dicts; a weight counts the deleted vertices the subtree has forgotten,
+    and the budget test adds the key's deleted bag vertices,
+    `bag_deleted(bag_size, key)`.  The leaf's one code is v0 alone."""
+    # No partial deletes more than all n vertices, so n is no bound.
+    limit = g.n if budget is None else budget
+    max_pset = 0
 
-    __slots__ = ("ntd", "adj", "budget", "stats", "max_pset")
-
-    def __init__(self, g, ntd, budget, stats):
-        for t, bag in enumerate(ntd.bags):
-            if bag and bag[-1] >= g.n:
-                raise ValueError(
-                    f"bag at node {t} holds vertex {bag[-1]}, which is not in"
-                    f" the {g.n}-vertex graph; v0 is implicit, not a bag vertex"
-                )
-        self.ntd = ntd
-        self.adj = [bag_adjacency(g, bag) for bag in ntd.bags]
-        # No partial deletes more than all n vertices, so n is no bound.
-        self.budget = g.n if budget is None else budget
-        self.stats = stats
-        self.max_pset = 0
-
-    def dp(self, leaf_key, introduce, forget, join, bag_deleted) -> int | None:
-        """Run the engine with the solver's hooks bound to this run and
-        return the least weight at the root, where `finish_node` leaves
-        only connected (c == 1) entries.  The leaf's one code is v0 alone.
-        `bag_deleted(bag_size, key)` counts a key's deleted bag vertices; it
-        is bound here, not stored, so the run holds no reference to itself."""
-        root_table = run_dp(
-            self.ntd,
-            lambda: {leaf_key: {(0,): 0}},
-            partial(introduce, self),
-            partial(forget, self),
-            partial(join, self),
-            finish=partial(self.finish_node, bag_deleted),
-            stats=self.stats,
-        )
-        if self.stats is not None:
-            self.stats["max_partition_set_size"] = max(
-                self.stats.get("max_partition_set_size", 0), self.max_pset
-            )
-        return min(
-            (w for entries in root_table.values() for w in entries.values()),
-            default=None,
-        )
-
-    def finish_node(self, bag_deleted, t: int, table: dict) -> None:
+    def finish(bag, table: dict) -> None:
         # Every component of a viable partial holds a bag vertex or v0
         # (forgetting the last one is blocked by the projection), so its
         # component count equals the partition's block count.  A partial
@@ -138,14 +89,15 @@ class _Run:
         # never recovers; drop such entries, and those over budget, before
         # reducing.  At the root every code is (0,), so only c == 1 stays.
         # This is the only cycle check; see the module docstring.
-        bag_size = len(self.ntd.bags[t])
+        nonlocal max_pset
+        bag_size = len(bag)
         for key, entries in list(table.items()):
             want = key[-1]
-            budget = self.budget - bag_deleted(bag_size, key)
+            room = limit - bag_deleted(bag_size, key)
             kept = {
                 code: w
                 for code, w in entries.items()
-                if w <= budget and len(set(code)) == want
+                if w <= room and len(set(code)) == want
             }
             if not kept:
                 del table[key]
@@ -157,8 +109,20 @@ class _Run:
             # whole: it may be shared with other keys, which saves memory.
             if len(kept) < len(entries):
                 table[key] = kept
-            if len(kept) > self.max_pset:
-                self.max_pset = len(kept)
+            if len(kept) > max_pset:
+                max_pset = len(kept)
+
+    root_table = run_dp(
+        g, ntd, lambda: {leaf_key: {(0,): 0}}, *hooks, finish=finish, stats=stats
+    )
+    if stats is not None:
+        stats["max_partition_set_size"] = max(
+            stats.get("max_partition_set_size", 0), max_pset
+        )
+    return min(
+        (w for entries in root_table.values() for w in entries.values()),
+        default=None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -183,28 +147,25 @@ def solve_c4(
     budget, else None; without one, always returns the minimum.  Either way
     it is a single pass.
     """
-    return _c4_pass(_Run(g, ntd, budget, stats))
+    return _c4_pass(g, ntd, budget, stats)
 
 
-def _c4_pass(run: _Run) -> int | None:
-    return run.dp(
-        (0, 0, frozenset(), 1), _c4_introduce, _c4_forget, _c4_join, _c4_bag_deleted
-    )
+def _c4_pass(g, ntd, budget, stats) -> int | None:
+    hooks = (_c4_introduce, _c4_forget, _c4_join)
+    return _dp(g, ntd, budget, stats, (0, 0, frozenset(), 1), hooks, _c4_bag_deleted)
 
 
 def _c4_bag_deleted(bag_size: int, key) -> int:
     return bag_size - bin(key[0]).count("1")
 
 
-def _c4_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
-    adj = run.adj[t]
-    bag = run.ntd.bags[t]
+def _c4_introduce(bag, adj: list[int], pos: int, child: dict) -> dict:
     v = bag[pos]
     bit = 1 << pos
     out: dict = {}
     for (kept_c, s0_c, redges, c), entries in child.items():
-        kept = _insert_bit(kept_c, pos)
-        s0 = _insert_bit(s0_c, pos)
+        kept = insert_bit(kept_c, pos)
+        s0 = insert_bit(s0_c, pos)
         union_into(out, (kept, s0, redges, c), entries)
         # v's kept neighbours in g.  Selected v0-edges are pairwise
         # non-adjacent, so no triangle holds v0 and both choices below share
@@ -241,14 +202,13 @@ def _c4_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
     return out
 
 
-def _c4_forget(run: _Run, t: int, cpos: int, child: dict) -> dict:
-    v = run.ntd.vertex[t]
+def _c4_forget(v: int, cpos: int, child: dict) -> dict:
     # A code in which the forgotten kept vertex's block holds no other
     # position is dropped: that block can never reach v0.
     out: dict = {}
     for (kept_c, s0_c, redges, c), entries in child.items():
-        kept = _remove_bit(kept_c, cpos)
-        s0 = _remove_bit(s0_c, cpos)
+        kept = remove_bit(kept_c, cpos)
+        s0 = remove_bit(s0_c, cpos)
         if not kept_c >> cpos & 1:
             union_into(out, (kept, s0, redges, c), shift_set(entries, 1))
             continue
@@ -258,8 +218,7 @@ def _c4_forget(run: _Run, t: int, cpos: int, child: dict) -> dict:
     return out
 
 
-def _c4_join(run: _Run, t: int, left: dict, right: dict) -> dict:
-    adj = run.adj[t]
+def _c4_join(adj: list[int], left: dict, right: dict) -> dict:
     grouped: dict[tuple[int, int], tuple[int, int, list]] = {}
     for (kept, s0, redges, c), entries in right.items():
         group = grouped.get((kept, s0))
@@ -305,28 +264,29 @@ def solve_paw(
     budget: int | None = None,
 ) -> int | None:
     """Minimum deletions making g paw-TM-free; see solve_c4 for the contract."""
-    return _paw_pass(_Run(g, ntd, budget, stats))
+    return _paw_pass(g, ntd, budget, stats)
 
 
 def _forest_mask(labels: tuple[int, ...]) -> int:
     return sum(1 << p for p, x in enumerate(labels) if x == _FOREST)
 
 
-def _paw_pass(run: _Run) -> int | None:
-    return run.dp(((), 0, 1), _paw_introduce, _paw_forget, _paw_join, _paw_bag_deleted)
+def _paw_pass(g, ntd, budget, stats) -> int | None:
+    hooks = (_paw_introduce, _paw_forget, _paw_join)
+    return _dp(g, ntd, budget, stats, ((), 0, 1), hooks, _paw_bag_deleted)
 
 
 def _paw_bag_deleted(bag_size: int, key) -> int:
     return key[0].count(_DEL)
 
 
-def _paw_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
+def _paw_introduce(bag, adj: list[int], pos: int, child: dict) -> dict:
     bit = 1 << pos
-    nbr_pos = bits(run.adj[t][pos])
+    nbr_pos = bits(adj[pos])
     plain_nbrs = [q if q < pos else q - 1 for q in nbr_pos]
     out: dict = {}
     for (labels_c, s0_c, c), entries in child.items():
-        s0 = _insert_bit(s0_c, pos)
+        s0 = insert_bit(s0_c, pos)
         union_into(out, (insert_at(labels_c, pos, _DEL), s0, c), entries)
 
         forest_adjacent = [q for q in plain_nbrs if labels_c[q] == _FOREST]
@@ -360,14 +320,14 @@ def _paw_introduce(run: _Run, t: int, pos: int, child: dict) -> dict:
     return out
 
 
-def _paw_forget(run: _Run, t: int, cpos: int, child: dict) -> dict:
+def _paw_forget(v: int, cpos: int, child: dict) -> dict:
     out: dict = {}
     for (labels_c, s0_c, c), entries in child.items():
         label = labels_c[cpos]
         if label in (_CYC0, _CYC1):
             continue  # a cycle vertex leaves the bag only once closed
         labels = remove_at(labels_c, cpos)
-        s0 = _remove_bit(s0_c, cpos)
+        s0 = remove_bit(s0_c, cpos)
         if label == _FOREST:
             entries = drop_set(entries, labels_c[:cpos].count(_FOREST))
         elif label == _DEL:
@@ -376,8 +336,7 @@ def _paw_forget(run: _Run, t: int, cpos: int, child: dict) -> dict:
     return out
 
 
-def _paw_join(run: _Run, t: int, left: dict, right: dict) -> dict:
-    adj = run.adj[t]
+def _paw_join(adj: list[int], left: dict, right: dict) -> dict:
 
     def kind_key(labels: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(min(x, _CYC0) for x in labels)

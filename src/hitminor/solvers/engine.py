@@ -1,12 +1,14 @@
 """The one dynamic-programming traversal shared by every table solver.
 
-A solver supplies a table per node kind: `leaf()`, `introduce(t, pos, child)`
-with `pos` the introduced vertex's position in bag t, `forget(t, cpos, child)`
-with `cpos` the forgotten vertex's position in the child's bag, and
-`join(t, left, right)`.  Nodes are visited in the post-order of the nice
-decomposition (Cygan et al., *Parameterized Algorithms*, §7.3), and a child's
-table is dropped as soon as its parent's is built, so at most one table per
-pending join branch is alive.  Tables are dicts keyed by per-solver labels.
+A solver supplies a table per node kind: `leaf()`, `introduce(bag, adj,
+pos, child)` with `pos` the introduced vertex's position in `bag`,
+`forget(v, cpos, child)` with `cpos` the forgotten vertex v's position in
+the child's bag, and `join(adj, left, right)`.  `adj` is the node's bag
+adjacency (`bag_adjacency`), built once per introduce and join node.  Nodes
+are visited in the post-order of the nice decomposition (Cygan et al.,
+*Parameterized Algorithms*, §7.3), and a child's table is dropped as soon as
+its parent's is built, so at most one table per pending join branch is
+alive.  Tables are dicts keyed by per-solver labels.
 """
 
 from __future__ import annotations
@@ -40,7 +42,20 @@ def remove_at(labels: tuple, pos: int) -> tuple:
     return labels[:pos] + labels[pos + 1 :]
 
 
+def insert_bit(mask: int, pos: int) -> int:
+    """`insert_at` for bitmasks: a zero bit enters at `pos`."""
+    low = mask & ((1 << pos) - 1)
+    return low | ((mask >> pos) << (pos + 1))
+
+
+def remove_bit(mask: int, pos: int) -> int:
+    """`remove_at` for bitmasks: bit `pos` leaves."""
+    low = mask & ((1 << pos) - 1)
+    return low | ((mask >> (pos + 1)) << pos)
+
+
 def run_dp(
+    g: Graph,
     ntd: NiceTreeDecomposition,
     leaf,
     introduce,
@@ -50,11 +65,13 @@ def run_dp(
     bound: int | None = None,
     stats: dict | None = None,
 ) -> dict:
-    """Build every node's table bottom-up and return the root's.
+    """Build every node's table bottom-up over `ntd`, a nice decomposition
+    of g, and return the root's.
 
-    `finish(t, table)`, if given, may prune or rewrite node t's table in
-    place before it is measured.  With a `bound`, every table is asserted to
-    hold at most bound^|bag| keys.  The largest table size is folded into
+    A bag vertex outside g raises ValueError.  `finish(bag, table)`, if
+    given, may prune or rewrite a node's table in place before it is
+    measured.  With a `bound`, every table is asserted to hold at most
+    bound^|bag| keys.  The largest table size is folded into
     `stats["max_table_size"]`.
     """
     tables: list[dict | None] = [None] * len(ntd)
@@ -62,22 +79,29 @@ def run_dp(
     for t in range(len(ntd)):
         kind = ntd.kinds[t]
         kids = ntd.children[t]
+        bag = ntd.bags[t]
+        # Bags are sorted, so the last vertex is the largest.
+        if bag and bag[-1] >= g.n:
+            raise ValueError(
+                f"bag at node {t} holds vertex {bag[-1]}, which is not in"
+                f" the {g.n}-vertex graph"
+            )
         if kind == LEAF:
             table = leaf()
         elif kind == INTRODUCE:
-            pos = ntd.bags[t].index(ntd.vertex[t])
-            table = introduce(t, pos, tables[kids[0]])
+            pos = bag.index(ntd.vertex[t])
+            table = introduce(bag, bag_adjacency(g, bag), pos, tables[kids[0]])
         elif kind == FORGET:
-            cpos = ntd.bags[kids[0]].index(ntd.vertex[t])
-            table = forget(t, cpos, tables[kids[0]])
+            v = ntd.vertex[t]
+            table = forget(v, ntd.bags[kids[0]].index(v), tables[kids[0]])
         else:
-            table = join(t, tables[kids[0]], tables[kids[1]])
+            table = join(bag_adjacency(g, bag), tables[kids[0]], tables[kids[1]])
         for c in kids:
             tables[c] = None
         if finish is not None:
-            finish(t, table)
+            finish(bag, table)
         if bound is not None:
-            assert len(table) <= bound ** len(ntd.bags[t])
+            assert len(table) <= bound ** len(bag)
         max_table = max(max_table, len(table))
         tables[t] = table
     if stats is not None:

@@ -265,6 +265,21 @@ class TestBench:
         assert records[-1]["instances"] == 3
         assert "bad.gr" in captured.err
 
+    def test_guarded_instance_fails_only_itself(self, demo_dir, capsys):
+        # Chair is served by the oracle, which refuses 16 vertices.
+        (demo_dir / "big.gr").write_text(write_gr(path_graph(16)))
+        (demo_dir / "bad.gr").write_text("p tw 3 1\n1 9\n")
+        code = main(["bench", "--corpus", str(demo_dir), "--pattern", "chair"])
+        assert code == EXIT_GUARD
+        captured = capsys.readouterr()
+        records = [json.loads(line) for line in captured.out.splitlines()]
+        assert [r["input"] for r in records[:-1]] == ["bad", "big", "c6", "k4", "p5"]
+        assert set(records[1]) == {"schema", "input", "error"}
+        assert all("answer" in r for r in records[2:-1])
+        assert records[-1]["aggregate"] is True
+        assert records[-1]["instances"] == 3
+        assert "big.gr" in captured.err
+
     def test_empty_corpus(self, tmp_path):
         assert main(["bench", "--corpus", str(tmp_path), "--pattern", "p3"]) == EXIT_FORMAT
 

@@ -33,6 +33,15 @@ def test_ab_bench_summary_reads_direction_per_metric():
     assert p50 == ["solve_s.p50", "0.04", "0.02", "0.02", "0.500", "2/3"]
 
 
+def test_ab_bench_failure_line_sums_each_side():
+    ab = load("ab_bench")
+    parent = [{"failed": 0, "attempted": 100}, {"failed": 1, "attempted": 99}]
+    # A run that printed nothing has neither count.
+    change = [{"failed": 2, "attempted": 100}, {"correct": False, "metrics": {}}]
+    line = ab.failure_line(parent, change)
+    assert line == "failed/attempted: parent 1/199 (0.005025), change 2/100 (0.02)"
+
+
 def test_demos_run():
     """The quick demos run end to end; scaling_tables.py is left out, it
     takes seconds."""

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -107,12 +108,14 @@ class TestRequestValidation:
 
     def test_lifted_decomposition_rejected(self):
         # v0 is implicit: a decomposition whose bags hold it as vertex g.n
-        # names a vertex outside g.
+        # names a vertex outside g, which every table solver rejects.
         from hitminor.treedecomp import lift_v0
 
         g = cycle_graph(4)
         ntd = lift_v0(make_nice(heuristic_td(g), g), g.n)
-        for runner in (solve_c4, solve_paw):
+        runners = (solve_p3, solve_p4, solve_c4, solve_paw)
+        runners += (partial(solve_bdd, d=2), partial(solve_k1s, s=3))
+        for runner in runners:
             with pytest.raises(ValueError, match="not in"):
                 runner(g, ntd)
 
@@ -335,12 +338,12 @@ def _stored_tables(monkeypatch, solver, g):
     seen = []
     original = conn.run_dp
 
-    def spy_run_dp(ntd, *hooks, finish, **kwargs):
-        def spy_finish(t, table):
-            finish(t, table)
-            seen.append((ntd.bags[t], dict(table)))
+    def spy_run_dp(g, ntd, *hooks, finish, **kwargs):
+        def spy_finish(bag, table):
+            finish(bag, table)
+            seen.append((bag, dict(table)))
 
-        return original(ntd, *hooks, finish=spy_finish, **kwargs)
+        return original(g, ntd, *hooks, finish=spy_finish, **kwargs)
 
     monkeypatch.setattr(conn, "run_dp", spy_run_dp)
     solver(g, make_nice(heuristic_td(g), g))
@@ -448,9 +451,9 @@ class TestSinglePass:
         original = getattr(conn, name)
         calls = []
 
-        def counted(run):
+        def counted(*args):
             calls.append(1)
-            return original(run)
+            return original(*args)
 
         monkeypatch.setattr(conn, name, counted)
         for g in (complete_graph(5), complete_graph(6)):
