@@ -72,10 +72,12 @@ def run_dp(
     given, may prune or rewrite a node's table in place before it is
     measured.  With a `bound`, every table is asserted to hold at most
     bound^|bag| keys.  The largest table size is folded into
-    `stats["max_table_size"]`.
+    `stats["max_table_size"]`, and the number of entries stored over all
+    nodes is added to `stats["table_entries"]`.
     """
     tables: list[dict | None] = [None] * len(ntd)
     max_table = 0
+    entries = 0
     for t in range(len(ntd)):
         kind = ntd.kinds[t]
         kids = ntd.children[t]
@@ -103,9 +105,11 @@ def run_dp(
         if bound is not None:
             assert len(table) <= bound ** len(bag)
         max_table = max(max_table, len(table))
+        entries += len(table)
         tables[t] = table
     if stats is not None:
         stats["max_table_size"] = max(stats.get("max_table_size", 0), max_table)
+        stats["table_entries"] = stats.get("table_entries", 0) + entries
     root_table = tables[-1]  # post-order: the root is the last node
     assert root_table is not None
     return root_table

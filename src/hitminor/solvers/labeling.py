@@ -7,14 +7,26 @@ deleted vertices the subtree has already forgotten, among partial solutions
 realizing those labels on the subtree graph.  A deletion is paid once, when
 its vertex is forgotten, so joins just add the two counts.  Missing keys mean
 "infeasible".  Bag edges are present in both children of a join node, so
-joins subtract bag-level degrees once.  The hooks are module functions that
-read bag edges only from the adjacency bitmasks the engine hands them;
-`solve_bdd` binds its degree bound d to them with `partial`.
+the bounded-degree join subtracts bag-level degrees once.
+
+P4 uses six labels: deleted, ISO (kept with no kept neighbour yet, its role
+still open), star leaf, star centre, open triangle vertex and completed
+triangle vertex.  A vertex's role is chosen when its first kept neighbour
+arrives, not when it is introduced, so an isolated kept vertex is one entry,
+not one per role.  A P4 join pairs entries that agree on the deleted
+vertices and, at each vertex with a kept bag neighbour, on its role; a
+vertex without one may carry on each side a star or triangle grown from
+that side's forgotten vertices, and an ISO side takes the other's label.
+
+The hooks are module functions that read bag edges only from the adjacency
+bitmasks the engine hands them; `solve_bdd` binds its degree bound d to them
+with `partial`.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from operator import getitem
 
 from ..graph import Graph
 from ..treedecomp import NiceTreeDecomposition
@@ -36,14 +48,51 @@ def _leaf() -> Table:
 # ---------------------------------------------------------------------------
 # Deletion to components that are single triangles or stars.
 #
-# Labels: 0 = deleted, 1 = future star leaf (isolated so far), 2 = star leaf
-# attached to its center, 3 = star center, 4 = future triangle vertex,
-# 5 = vertex of a completed triangle.
+# Labels of a bag vertex in the subtree graph:
+#   DEL       deleted;
+#   ISO       kept, with no kept neighbour yet.  It is a K1 star whose role
+#             (leaf, centre or triangle vertex) is chosen when its first kept
+#             neighbour arrives, like the deferred "0?" state of the
+#             dominating-set DP (Cygan et al., *Parameterized Algorithms*,
+#             §11.1);
+#   LEAF      star leaf; its one kept neighbour is its centre, maybe
+#             forgotten;
+#   CENTER    star centre with at least one leaf, maybe forgotten;
+#   TRI_OPEN  triangle vertex whose one kept neighbour is the other TRI_OPEN
+#             vertex of the bag; it is never forgotten;
+#   TRI_DONE  vertex of a completed triangle.
 
-_P4_DEL, _P4_LEAF_OPEN, _P4_LEAF_DONE, _P4_CENTER, _P4_TRI_OPEN, _P4_TRI_DONE = range(6)
-# A join pairs entries whose bag vertices play the same role on both sides:
-# deleted, star leaf, star center or triangle vertex.
-_P4_ROLE = (0, 1, 1, 2, 3, 3)
+_P4_DEL, _P4_ISO, _P4_LEAF, _P4_CENTER, _P4_TRI_OPEN, _P4_TRI_DONE = range(6)
+
+# Join keys.  A kept vertex with no kept bag neighbour has grown, on each
+# side, only from that side's forgotten vertices, so its key says just
+# "kept".  One with a kept bag neighbour plays the same role on both sides:
+# its key is the role (leaf, centre or triangle vertex).
+_P4_JOIN_KEY = ((0, 1, 1, 1, 1, 1), (0, 1, 2, 3, 4, 4))
+
+
+def _p4_merge_rows(bag_nbrs: int) -> tuple[tuple[int, ...], ...]:
+    """rows[a][b]: the joined label of a kept vertex labelled a on the left
+    and b on the right, or -1, by its number of kept bag neighbours (capped
+    at 2).  Two leaves must share their centre, so it must be in the bag;
+    two completed triangles must be the same, so two of its vertices must
+    be the vertex's kept bag neighbours."""
+    rows = [[-1] * 6 for _ in range(6)]
+    rows[_P4_DEL][_P4_DEL] = _P4_DEL
+    rows[_P4_CENTER][_P4_CENTER] = _P4_CENTER
+    if bag_nbrs == 0:
+        for x in range(_P4_ISO, 6):
+            rows[_P4_ISO][x] = rows[x][_P4_ISO] = x
+    else:
+        rows[_P4_LEAF][_P4_LEAF] = _P4_LEAF
+        rows[_P4_TRI_OPEN][_P4_TRI_OPEN] = _P4_TRI_OPEN
+        rows[_P4_TRI_OPEN][_P4_TRI_DONE] = rows[_P4_TRI_DONE][_P4_TRI_OPEN] = _P4_TRI_DONE
+        if bag_nbrs == 2:
+            rows[_P4_TRI_DONE][_P4_TRI_DONE] = _P4_TRI_DONE
+    return tuple(map(tuple, rows))
+
+
+_P4_MERGE = tuple(_p4_merge_rows(c) for c in range(3))
 
 
 def solve_p4(g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None) -> int:
@@ -54,92 +103,82 @@ def solve_p4(g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None) ->
 
 def _p4_introduce(bag, adj: list[int], pos: int, child: Table) -> Table:
     child_nbrs = bits(remove_bit(adj[pos], pos))
-    # For each child position, the bitmask of the child positions of its bag
-    # neighbors other than the newly introduced vertex.
+    # For each child position, the bitmask of its child-position neighbors.
     rows = [remove_bit(row, pos) for q, row in enumerate(adj) if q != pos]
-    other_nbrs = [bits(row) for row in rows]
     out: Table = {}
     for labels, r in child.items():
-        _min_put(out, insert_at(labels, pos, _P4_DEL), r)
+        # Only this entry yields keys with the new vertex DEL or ISO.
+        out[insert_at(labels, pos, _P4_DEL)] = r
         kept = [p for p in child_nbrs if labels[p] != _P4_DEL]
         if not kept:
-            _min_put(out, insert_at(labels, pos, _P4_LEAF_OPEN), r)
-            _min_put(out, insert_at(labels, pos, _P4_CENTER), r)
-            _min_put(out, insert_at(labels, pos, _P4_TRI_OPEN), r)
+            out[insert_at(labels, pos, _P4_ISO)] = r
             continue
-        if len(kept) == 1:
-            u = kept[0]
-            if labels[u] == _P4_CENTER:
-                _min_put(out, insert_at(labels, pos, _P4_LEAF_DONE), r)
-            if labels[u] == _P4_TRI_OPEN and not any(
-                labels[p] != _P4_DEL for p in other_nbrs[u]
-            ):
-                _min_put(out, insert_at(labels, pos, _P4_TRI_OPEN), r)
-        if len(kept) == 2:
+        if all(labels[p] == _P4_ISO for p in kept):
+            # A new star center adopts them all as leaves.
+            upd = list(labels)
+            for p in kept:
+                upd[p] = _P4_LEAF
+            _min_put(out, insert_at(tuple(upd), pos, _P4_CENTER), r)
+            if len(kept) == 1:
+                # The first edge may also make the new vertex a leaf, or
+                # open a triangle.
+                u = kept[0]
+                upd[u] = _P4_CENTER
+                _min_put(out, insert_at(tuple(upd), pos, _P4_LEAF), r)
+                upd[u] = _P4_TRI_OPEN
+                _min_put(out, insert_at(tuple(upd), pos, _P4_TRI_OPEN), r)
+        elif len(kept) == 1:
+            if labels[kept[0]] == _P4_CENTER:
+                _min_put(out, insert_at(labels, pos, _P4_LEAF), r)
+        elif len(kept) == 2:
             u, w = kept
-            if (
-                labels[u] == labels[w] == _P4_TRI_OPEN
-                and rows[u] >> w & 1
-                and {p for p in other_nbrs[u] if labels[p] != _P4_DEL} == {w}
-                and {p for p in other_nbrs[w] if labels[p] != _P4_DEL} == {u}
-            ):
+            if labels[u] == labels[w] == _P4_TRI_OPEN and rows[u] >> w & 1:
                 upd = list(labels)
                 upd[u] = upd[w] = _P4_TRI_DONE
                 _min_put(out, insert_at(tuple(upd), pos, _P4_TRI_DONE), r)
-        # A new star center adopts exactly the currently isolated leaves.
-        if all(labels[p] == _P4_LEAF_OPEN for p in kept):
-            upd = list(labels)
-            for p in kept:
-                upd[p] = _P4_LEAF_DONE
-            _min_put(out, insert_at(tuple(upd), pos, _P4_CENTER), r)
     return out
 
 
 def _p4_forget(v: int, cpos: int, child: Table) -> Table:
     out: Table = {}
     for labels, r in child.items():
-        if labels[cpos] in (_P4_LEAF_OPEN, _P4_TRI_OPEN):
+        x = labels[cpos]
+        if x == _P4_TRI_OPEN:
             continue
-        _min_put(out, remove_at(labels, cpos), r + (labels[cpos] == _P4_DEL))
+        _min_put(out, remove_at(labels, cpos), r + (x == _P4_DEL))
     return out
 
 
-def _p4_role_key(labels: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(_P4_ROLE[x] for x in labels)
-
-
 def _p4_join(adj: list[int], left: Table, right: Table) -> Table:
-    nbrs = [bits(row) for row in adj]
-    by_role: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    # Kept bag neighbors per position depend only on the deleted positions,
+    # so each deletion mask's key rows and merge rows are built once.
+    rows_by_mask: dict[tuple[bool, ...], tuple[list, list]] = {}
+
+    def rows_for(labels: tuple[int, ...]) -> tuple[list, list]:
+        kept = tuple(map(bool, labels))  # _P4_DEL is the only falsy label
+        rows = rows_by_mask.get(kept)
+        if rows is None:
+            mask = sum(1 << i for i, k in enumerate(kept) if k)
+            counts = [min((row & mask).bit_count(), 2) for row in adj]
+            rows = [_P4_JOIN_KEY[c > 0] for c in counts], [_P4_MERGE[c] for c in counts]
+            rows_by_mask[kept] = rows
+        return rows
+
+    by_key: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
     for labels, r in right.items():
-        by_role.setdefault(_p4_role_key(labels), []).append((labels, r))
+        key_rows = rows_for(labels)[0]
+        by_key.setdefault(tuple(map(getitem, key_rows, labels)), []).append((labels, r))
     out: Table = {}
     for labels1, r1 in left.items():
-        for labels2, r2 in by_role.get(_p4_role_key(labels1), ()):
-            ok = True
-            for i, (a, b) in enumerate(zip(labels1, labels2)):
-                if a == b == _P4_LEAF_DONE:
-                    # Both attachments must be the single shared bag center.
-                    kept = [p for p in nbrs[i] if labels1[p] != _P4_DEL]
-                    if len(kept) != 1 or labels1[kept[0]] != _P4_CENTER:
-                        ok = False
-                        break
-                elif a == b == _P4_TRI_DONE:
-                    # The completed triangle must sit inside the bag,
-                    # identically on both sides: two of i's neighbors done
-                    # on both sides and adjacent.
-                    cands = [
-                        p
-                        for p in nbrs[i]
-                        if labels1[p] == _P4_TRI_DONE and labels2[p] == _P4_TRI_DONE
-                    ]
-                    mask = sum(1 << p for p in cands)
-                    if not any(adj[p] & mask for p in cands):
-                        ok = False
-                        break
-            if ok:
-                # Within a role the done label is the larger one.
-                _min_put(out, tuple(map(max, labels1, labels2)), r1 + r2)
+        key_rows, merge_rows = rows_for(labels1)
+        bucket = by_key.get(tuple(map(getitem, key_rows, labels1)))
+        if bucket is None:
+            continue
+        merge = list(map(getitem, merge_rows, labels1))
+        for labels2, r2 in bucket:
+            merged = tuple(map(getitem, merge, labels2))
+            if -1 not in merged:
+                _min_put(out, merged, r1 + r2)
     return out
 
 

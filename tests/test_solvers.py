@@ -256,42 +256,41 @@ class TestPipelines:
                 assert via_exact == minimize(g, p)
 
     def test_mutated_decompositions(self):
-        # Redundant duplicate bags, subset leaves, and subdivided tree edges
-        # keep a decomposition valid while reshaping its nice form.
-        from hitminor import TreeDecomposition, validate_td
+        from hitminor import validate_td
 
         rng = random.Random(31337)
-
-        def mutate(td):
-            bags, edges = list(td.bags), list(td.edges)
-            for _ in range(6):
-                op = rng.randrange(3)
-                if op == 0 and bags:
-                    i = rng.randrange(len(bags))
-                    bags.append(bags[i])
-                    edges.append((i, len(bags) - 1))
-                elif op == 1 and bags:
-                    i = rng.randrange(len(bags))
-                    bags.append(
-                        frozenset(v for v in bags[i] if rng.random() < 0.6)
-                    )
-                    edges.append((i, len(bags) - 1))
-                elif op == 2 and edges:
-                    a, b = edges.pop(rng.randrange(len(edges)))
-                    bags.append(bags[a] & bags[b])
-                    edges.extend([(a, len(bags) - 1), (len(bags) - 1, b)])
-            return TreeDecomposition(bags=bags, edges=edges)
-
         for _ in range(15):
             n = rng.randrange(4, 10)
             g = random_graph(n, rng.choice([0.25, 0.5]), rng)
-            td = mutate(heuristic_td(g))
+            td = _mutate_td(heuristic_td(g), rng, 6)
             assert validate_td(g, td) == []
             for p in SOLVER_PATTERNS:
                 got = solve(
                     SolveRequest(graph=g, pattern=p, decomposition=td)
                 ).answer
                 assert got == min_deletion_bruteforce(g, p), (p.name, g.edges())
+
+    def test_p4_on_join_heavy_decompositions(self):
+        # A join meets a deferred (ISO) vertex on one side with a star or
+        # triangle grown from forgotten vertices on the other; mutated
+        # decompositions add joins at full and partial bags.
+        from hitminor import validate_td
+        from corpus import random_tree
+
+        rng = random.Random(4242)
+        for _ in range(300):
+            g = random_graph(rng.randrange(3, 11), rng.choice([0.3, 0.5, 0.7]), rng)
+            td = _mutate_td(heuristic_td(g), rng, 10)
+            got = solve(SolveRequest(graph=g, pattern=P4, decomposition=td)).answer
+            assert got == min_deletion_bruteforce(g, P4), g.edges()
+        # Above the oracle's guard, the answer must not depend on the shape
+        # of the decomposition.
+        for g in (grid_graph(4, 5), grid_graph(3, 20), random_tree(40, rng),
+                  random_tree(60, rng)):
+            td = _mutate_td(heuristic_td(g), rng, 10)
+            assert validate_td(g, td) == []
+            got = solve(SolveRequest(graph=g, pattern=P4, decomposition=td)).answer
+            assert got == minimize(g, P4)
 
     def test_direct_solver_entrypoints(self):
         g = cycle_graph(5)
@@ -308,6 +307,16 @@ class TestPipelines:
             assert key in stats
         assert stats["max_partition_set_size"] >= 1
 
+    @pytest.mark.parametrize("pattern", SOLVER_PATTERNS, ids=lambda p: p.name)
+    def test_table_entries_counted_and_repeatable(self, pattern):
+        g = grid_graph(3, 6)
+        first = solve(SolveRequest(graph=g, pattern=pattern)).stats
+        again = solve(SolveRequest(graph=g, pattern=pattern)).stats
+        assert first["table_entries"] == again["table_entries"]
+        # Every node stores at least one entry, and none more than the peak.
+        assert first["nice_nodes"] <= first["table_entries"]
+        assert first["table_entries"] <= first["nice_nodes"] * first["max_table_size"]
+
     def test_table_sizes_within_bounds(self):
         # The solvers assert the per-node bounds themselves; this drives a
         # few wider instances through to exercise those assertions.
@@ -316,6 +325,29 @@ class TestPipelines:
             g = random_graph(9, 0.5, rng)
             for p in SOLVER_PATTERNS:
                 minimize(g, p)
+
+
+def _mutate_td(td, rng: random.Random, steps: int):
+    """`td` reshaped by `steps` random edits that keep it valid: a duplicate
+    bag, a subset leaf, or a subdivided tree edge."""
+    from hitminor import TreeDecomposition
+
+    bags, edges = list(td.bags), list(td.edges)
+    for _ in range(steps):
+        op = rng.randrange(3)
+        if op == 0 and bags:
+            i = rng.randrange(len(bags))
+            bags.append(bags[i])
+            edges.append((i, len(bags) - 1))
+        elif op == 1 and bags:
+            i = rng.randrange(len(bags))
+            bags.append(frozenset(v for v in bags[i] if rng.random() < 0.6))
+            edges.append((i, len(bags) - 1))
+        elif op == 2 and edges:
+            a, b = edges.pop(rng.randrange(len(edges)))
+            bags.append(bags[a] & bags[b])
+            edges.extend([(a, len(bags) - 1), (len(bags) - 1, b)])
+    return TreeDecomposition(bags=bags, edges=edges)
 
 
 def _bag_view(g: Graph, bag, kept: int, s0: int) -> Graph:
@@ -386,7 +418,7 @@ class TestPruningStrength:
     CEILINGS = {
         "grid3x12": {
             "p3": (26, None),
-            "p4": (127, None),
+            "p4": (60, None),
             "k1s:3": (55, None),
             "k1s:4": (82, None),
             "c4": (90, 4),
@@ -394,7 +426,7 @@ class TestPruningStrength:
         },
         "frozen#2": {
             "p3": (26, None),
-            "p4": (109, None),
+            "p4": (67, None),
             "k1s:3": (71, None),
             "k1s:4": (128, None),
             "c4": (159, 3),
