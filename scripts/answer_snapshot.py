@@ -14,8 +14,11 @@ since their budget prunes tables.  Instances: 200 graphs G(n <= 14,
 p <= 0.6) drawn from `random.Random(2024)`, the ten frozen instances of the
 acceptance tests, the 3x12 grid and G(18, 0.3) drawn from `random.Random(7)`;
 the label solvers also get the 2x40, 3x40 and 4x40 grids.  Lines starting
-with '#' carry the table sizes of the minimize run and of each decide run,
-which a change may legitimately alter.
+with '#' carry, for the minimize run and each decide run, the largest table
+(`max_table_size`), the entries stored over all nodes (`table_entries`, the
+DP's total work) and, for C4 and paw, the largest partition set; a change
+may legitimately alter them.  To compare two checkouts' table sizes, run
+this script against each checkout's `src/`.
 """
 
 from __future__ import annotations
@@ -75,7 +78,9 @@ def main() -> None:
         for pname in LABEL_PATTERNS:
             res = solve(SolveRequest(graph=g, pattern=parse_pattern(pname)))
             print(name, g.n, g.m, pname, f"min={res.answer}")
-            print(sizes(name, pname, [res.stats], ("max_table_size",)))
+            print(
+                sizes(name, pname, [res.stats], ("max_table_size", "table_entries"))
+            )
         if not connectivity:
             continue
         ntd = make_nice(heuristic_td(g), g)
@@ -87,9 +92,8 @@ def main() -> None:
                 decided.append(f"budget{k}={runner(g, ntd, stats=stats, budget=k)}")
                 runs.append(stats)
             print(name, g.n, g.m, pname, f"min={res.answer}", *decided)
-            print(
-                sizes(name, pname, runs, ("max_table_size", "max_partition_set_size"))
-            )
+            keys = ("max_table_size", "table_entries", "max_partition_set_size")
+            print(sizes(name, pname, runs, keys))
 
 
 if __name__ == "__main__":

@@ -18,20 +18,24 @@ is the least weight at the root, where every bag vertex is forgotten and
 v0 alone is left; with a budget, an entry is dropped as soon as its weight
 plus its key's deleted bag vertices exceeds it.
 
+Each component of the solution takes one edge to v0, at the forget node of
+one of its vertices, so no v0-edge touches a bag vertex and no key records
+one.  A forgotten kept position leaves as it is, which needs another
+position in its block (else it could never reach v0), or takes its
+component's v0-edge first.
+
 Correctness rests on a counter rather than on local cycle checks: a kept
 graph whose blocks are edges and triangles (C4-free) with i vertices, j
 edges and l triangles has c = i - j + l components, and a kept forest part
-with i vertices and j edges has c = i - j; v0 and its selected edges count
-too.  Each key carries that c, so the solution is connected exactly when
-c = 1 at the root.  Any other cycle leaves more components than c, and
-entries whose partition disagrees with c are dropped; the one local check
-left is that no edge lies in two triangles (a diamond keeps the count
-right).  Introduce reads the new vertex's bag neighbours from one row of the
-bag adjacency bitmasks the engine hands it, and a join subtracts once the
-bag vertices, edges and triangles both sides counted.
-Connectivity itself is forced by the projection step at forget nodes: a
-forgotten vertex whose block holds no other bag vertex and not v0 can
-never reach v0, so its entries are dropped.
+with i vertices and j edges has c = i - j; v0 and its edges count too.
+Each key carries that c, so the solution is connected exactly when c = 1
+at the root.  Any other cycle, a second v0-edge in one component included,
+leaves more components than c, and entries whose partition disagrees with
+c are dropped; the one local check left is that no edge lies in two
+triangles (a diamond keeps the count right).  Introduce reads the new
+vertex's bag neighbours from one row of the bag adjacency bitmasks the
+engine hands it, and a join subtracts once the bag vertices, edges and
+triangles both sides counted.
 """
 
 from __future__ import annotations
@@ -67,6 +71,18 @@ def _vedge(a: int, b: int) -> tuple[int, int]:
 def _below(mask: int, pos: int) -> int:
     """Index of bag position `pos` among the ground positions in `mask`."""
     return (mask & ((1 << pos) - 1)).bit_count()
+
+
+def _forget_ground(out: dict, key: tuple, entries: dict, i: int) -> None:
+    """Forget ground position i of `entries` into out[key], whose key ends
+    with the count c: i leaves as it is, or first takes its component's
+    v0-edge (a meet with the block {i, v0}) under count c - 1.  If i's block
+    holds v0 already, that edge closes a cycle and `finish` drops the code."""
+    *rest, c = key
+    union_into(out, key, drop_set(entries, i))
+    n = len(next(iter(entries))) - 1
+    attached = meet_sets(entries, {tuple(range(n)) + (i,): 0})
+    union_into(out, (*rest, c - 1), drop_set(attached, i))
 
 
 def _dp(g, ntd, budget, stats, leaf_key, hooks, bag_deleted) -> int | None:
@@ -128,10 +144,11 @@ def _dp(g, ntd, budget, stats, leaf_key, hooks, bag_deleted) -> int | None:
 # ---------------------------------------------------------------------------
 # Deletion to C4-topological-minor-free.
 #
-# Key: (kept bag mask, selected-v0-edge mask, edges currently in a triangle,
-# component count c = kept vertices + 1 - kept edges + kept triangles, where
-# the 1 is v0 and the edges include the selected v0-edges).  The edge
-# set uses vertex-id pairs so it survives bag changes untouched.
+# Key: (kept bag mask, edges currently in a triangle, component count
+# c = kept vertices + 1 - kept edges + kept triangles, where the 1 is v0 and
+# the edges include one v0-edge per component, taken at a forget node and
+# never at a bag vertex).  The edge set uses vertex-id pairs so it survives
+# bag changes untouched.
 
 
 def solve_c4(
@@ -152,24 +169,21 @@ def solve_c4(
 
 def _c4_pass(g, ntd, budget, stats) -> int | None:
     hooks = (_c4_introduce, _c4_forget, _c4_join)
-    return _dp(g, ntd, budget, stats, (0, 0, frozenset(), 1), hooks, _c4_bag_deleted)
+    return _dp(g, ntd, budget, stats, (0, frozenset(), 1), hooks, _c4_bag_deleted)
 
 
 def _c4_bag_deleted(bag_size: int, key) -> int:
-    return bag_size - bin(key[0]).count("1")
+    return bag_size - key[0].bit_count()
 
 
 def _c4_introduce(bag, adj: list[int], pos: int, child: dict) -> dict:
     v = bag[pos]
     bit = 1 << pos
     out: dict = {}
-    for (kept_c, s0_c, redges, c), entries in child.items():
+    for (kept_c, redges, c), entries in child.items():
         kept = insert_bit(kept_c, pos)
-        s0 = insert_bit(s0_c, pos)
-        union_into(out, (kept, s0, redges, c), entries)
-        # v's kept neighbours in g.  Selected v0-edges are pairwise
-        # non-adjacent, so no triangle holds v0 and both choices below share
-        # these.
+        union_into(out, (kept, redges, c), entries)
+        # v's kept neighbours in g.
         nbrs = adj[pos] & kept
         nbr_pos = bits(nbrs)
         # Each neighbour's partners among v's other neighbours.  Two
@@ -191,47 +205,36 @@ def _c4_introduce(bag, adj: list[int], pos: int, child: dict) -> dict:
         ground = kept | bit
         i = _below(ground, pos)
         glue = [_below(ground, q) for q in nbr_pos] + [i]
-        union_into(out, (ground, s0, redges_p, c_p), glue_set(entries, i, glue))
-        # Keeping selected v0-edges pairwise non-adjacent loses nothing:
-        # one edge per final component always suffices, and vertices of
-        # different components are never adjacent.
-        if not nbrs & s0:
-            key = (ground, s0 | bit, redges_p, c_p - 1)
-            glue_v0 = glue + [ground.bit_count()]
-            union_into(out, key, glue_set(entries, i, glue_v0))
+        union_into(out, (ground, redges_p, c_p), glue_set(entries, i, glue))
     return out
 
 
 def _c4_forget(v: int, cpos: int, child: dict) -> dict:
-    # A code in which the forgotten kept vertex's block holds no other
-    # position is dropped: that block can never reach v0.
     out: dict = {}
-    for (kept_c, s0_c, redges, c), entries in child.items():
+    for (kept_c, redges, c), entries in child.items():
         kept = remove_bit(kept_c, cpos)
-        s0 = remove_bit(s0_c, cpos)
         if not kept_c >> cpos & 1:
-            union_into(out, (kept, s0, redges, c), shift_set(entries, 1))
+            union_into(out, (kept, redges, c), shift_set(entries, 1))
             continue
         rem = frozenset(e for e in redges if v not in e)
-        projected = drop_set(entries, _below(kept_c, cpos))
-        union_into(out, (kept, s0, rem, c), projected)
+        _forget_ground(out, (kept, rem, c), entries, _below(kept_c, cpos))
     return out
 
 
 def _c4_join(adj: list[int], left: dict, right: dict) -> dict:
-    grouped: dict[tuple[int, int], tuple[int, int, list]] = {}
-    for (kept, s0, redges, c), entries in right.items():
-        group = grouped.get((kept, s0))
+    grouped: dict[int, tuple[int, int, list]] = {}
+    for (kept, redges, c), entries in right.items():
+        group = grouped.get(kept)
         if group is None:
-            # Bag vertices and v0, edges (v0-edges included) and triangles
-            # are counted by both sides.
+            # Bag vertices and v0, bag edges and triangles are counted by
+            # both sides.
             edges, tris = _bag_counts(adj, kept)
-            shared_c = kept.bit_count() + 1 - edges - s0.bit_count() + tris
-            group = grouped[kept, s0] = (shared_c, 3 * tris, [])
+            shared_c = kept.bit_count() + 1 - edges + tris
+            group = grouped[kept] = (shared_c, 3 * tris, [])
         group[2].append((redges, c, entries))
     out: dict = {}
-    for (kept, s0, redges1, c1), entries1 in left.items():
-        group = grouped.get((kept, s0))
+    for (kept, redges1, c1), entries1 in left.items():
+        group = grouped.get(kept)
         if group is None:
             continue
         shared_c, tri_edge_count, bucket = group
@@ -241,7 +244,7 @@ def _c4_join(adj: list[int], left: dict, right: dict) -> dict:
             # triangles onto one edge.
             if len(redges1 & redges2) != tri_edge_count:
                 continue
-            key = (kept, s0, redges1 | redges2, c1 + c2 - shared_c)
+            key = (kept, redges1 | redges2, c1 + c2 - shared_c)
             union_into(out, key, meet_sets(entries1, entries2))
     return out
 
@@ -250,9 +253,10 @@ def _c4_join(adj: list[int], left: dict, right: dict) -> dict:
 # Deletion to paw-topological-minor-free.
 #
 # Per-vertex labels: 0 deleted, 1 forest part, 2/3/4 cycle part with current
-# internal degree 0/1/2.  Key: (labels, selected-v0-edge mask, forest
-# component count c = forest vertices + 1 - forest edges, where the 1 is v0,
-# which is in the forest part, and the edges include the selected v0-edges).
+# internal degree 0/1/2.  Key: (labels, forest component count c = forest
+# vertices + 1 - forest edges, where the 1 is v0, which is in the forest
+# part, and the edges include one v0-edge per component, taken at a forget
+# node and never at a bag vertex).
 
 _DEL, _FOREST, _CYC0, _CYC1, _CYC2 = range(5)
 
@@ -273,7 +277,7 @@ def _forest_mask(labels: tuple[int, ...]) -> int:
 
 def _paw_pass(g, ntd, budget, stats) -> int | None:
     hooks = (_paw_introduce, _paw_forget, _paw_join)
-    return _dp(g, ntd, budget, stats, ((), 0, 1), hooks, _paw_bag_deleted)
+    return _dp(g, ntd, budget, stats, ((), 1), hooks, _paw_bag_deleted)
 
 
 def _paw_bag_deleted(bag_size: int, key) -> int:
@@ -281,13 +285,11 @@ def _paw_bag_deleted(bag_size: int, key) -> int:
 
 
 def _paw_introduce(bag, adj: list[int], pos: int, child: dict) -> dict:
-    bit = 1 << pos
     nbr_pos = bits(adj[pos])
     plain_nbrs = [q if q < pos else q - 1 for q in nbr_pos]
     out: dict = {}
-    for (labels_c, s0_c, c), entries in child.items():
-        s0 = insert_bit(s0_c, pos)
-        union_into(out, (insert_at(labels_c, pos, _DEL), s0, c), entries)
+    for (labels_c, c), entries in child.items():
+        union_into(out, (insert_at(labels_c, pos, _DEL), c), entries)
 
         forest_adjacent = [q for q in plain_nbrs if labels_c[q] == _FOREST]
         cycle_adjacent = [q for q in plain_nbrs if labels_c[q] >= _CYC0]
@@ -298,11 +300,8 @@ def _paw_introduce(bag, adj: list[int], pos: int, child: dict) -> dict:
             # Ground indices over the forest positions; v0 follows them.
             i = labels[:pos].count(_FOREST)
             nbrs = [labels[:q].count(_FOREST) for q in nbr_pos if labels[q] == _FOREST]
-            key = (labels, s0, c + 1 - len(nbrs))
+            key = (labels, c + 1 - len(nbrs))
             union_into(out, key, glue_set(entries, i, nbrs + [i]))
-            key = (labels, s0 | bit, c - len(nbrs))
-            glue = nbrs + [i, labels.count(_FOREST)]
-            union_into(out, key, glue_set(entries, i, glue))
 
         # Cycle case: neighbors already in the cycle part gain one degree.
         if (
@@ -316,23 +315,24 @@ def _paw_introduce(bag, adj: list[int], pos: int, child: dict) -> dict:
             labels = insert_at(
                 tuple(upd), pos, _CYC0 + len(cycle_adjacent)
             )
-            union_into(out, (labels, s0, c), entries)
+            union_into(out, (labels, c), entries)
     return out
 
 
 def _paw_forget(v: int, cpos: int, child: dict) -> dict:
     out: dict = {}
-    for (labels_c, s0_c, c), entries in child.items():
+    for (labels_c, c), entries in child.items():
         label = labels_c[cpos]
         if label in (_CYC0, _CYC1):
             continue  # a cycle vertex leaves the bag only once closed
         labels = remove_at(labels_c, cpos)
-        s0 = remove_bit(s0_c, cpos)
         if label == _FOREST:
-            entries = drop_set(entries, labels_c[:cpos].count(_FOREST))
-        elif label == _DEL:
+            i = labels_c[:cpos].count(_FOREST)
+            _forget_ground(out, (labels, c), entries, i)
+            continue
+        if label == _DEL:
             entries = shift_set(entries, 1)
-        union_into(out, (labels, s0, c), entries)
+        union_into(out, (labels, c), entries)
     return out
 
 
@@ -342,20 +342,19 @@ def _paw_join(adj: list[int], left: dict, right: dict) -> dict:
         return tuple(min(x, _CYC0) for x in labels)
 
     grouped: dict[tuple, tuple[int, list]] = {}
-    for (labels, s0, c), entries in right.items():
+    for (labels, c), entries in right.items():
         kinds = kind_key(labels)
-        group = grouped.get((kinds, s0))
+        group = grouped.get(kinds)
         if group is None:
-            # Bag forest vertices and v0, and edges (v0-edges included) are
-            # counted by both sides.
+            # Bag forest vertices and v0, and bag forest edges are counted by
+            # both sides.
             forest = _forest_mask(kinds)
-            edges = _bag_counts(adj, forest)[0] + s0.bit_count()
-            shared_c = forest.bit_count() + 1 - edges
-            group = grouped[kinds, s0] = (shared_c, [])
+            shared_c = forest.bit_count() + 1 - _bag_counts(adj, forest)[0]
+            group = grouped[kinds] = (shared_c, [])
         group[1].append((labels, c, entries))
     out: dict = {}
-    for (labels1, s0, c1), entries1 in left.items():
-        group = grouped.get((kind_key(labels1), s0))
+    for (labels1, c1), entries1 in left.items():
+        group = grouped.get(kind_key(labels1))
         if group is None:
             continue
         shared_c, bucket = group
@@ -374,6 +373,6 @@ def _paw_join(adj: list[int], left: dict, right: dict) -> dict:
                 merged[p] = _CYC0 + z
             if not ok:
                 continue
-            key = (tuple(merged), s0, c1 + c2 - shared_c)
+            key = (tuple(merged), c1 + c2 - shared_c)
             union_into(out, key, meet_sets(entries1, entries2))
     return out

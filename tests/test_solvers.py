@@ -274,23 +274,13 @@ class TestPipelines:
         # A join meets a deferred (ISO) vertex on one side with a star or
         # triangle grown from forgotten vertices on the other; mutated
         # decompositions add joins at full and partial bags.
-        from hitminor import validate_td
-        from corpus import random_tree
+        _check_join_heavy(P4, decide=False)
 
-        rng = random.Random(4242)
-        for _ in range(300):
-            g = random_graph(rng.randrange(3, 11), rng.choice([0.3, 0.5, 0.7]), rng)
-            td = _mutate_td(heuristic_td(g), rng, 10)
-            got = solve(SolveRequest(graph=g, pattern=P4, decomposition=td)).answer
-            assert got == min_deletion_bruteforce(g, P4), g.edges()
-        # Above the oracle's guard, the answer must not depend on the shape
-        # of the decomposition.
-        for g in (grid_graph(4, 5), grid_graph(3, 20), random_tree(40, rng),
-                  random_tree(60, rng)):
-            td = _mutate_td(heuristic_td(g), rng, 10)
-            assert validate_td(g, td) == []
-            got = solve(SolveRequest(graph=g, pattern=P4, decomposition=td)).answer
-            assert got == minimize(g, P4)
+    @pytest.mark.parametrize("pattern", [C4, PAW], ids=lambda p: p.name)
+    def test_connectivity_on_join_heavy_decompositions(self, pattern):
+        # A component takes its v0-edge where one of its vertices is
+        # forgotten, on either side of a join at a full or partial bag.
+        _check_join_heavy(pattern, decide=True)
 
     def test_direct_solver_entrypoints(self):
         g = cycle_graph(5)
@@ -327,6 +317,37 @@ class TestPipelines:
                 minimize(g, p)
 
 
+def _check_join_heavy(pattern, decide: bool) -> None:
+    """Solve on decompositions reshaped by `_mutate_td`: against the oracle
+    on 300 small graphs (with `decide`, also at k = opt-1 and opt), and
+    against the unmutated decomposition on grids and trees above its guard."""
+    from hitminor import validate_td
+    from corpus import random_tree
+
+    rng = random.Random(4242)
+    for _ in range(300):
+        g = random_graph(rng.randrange(3, 11), rng.choice([0.3, 0.5, 0.7]), rng)
+        td = _mutate_td(heuristic_td(g), rng, 10)
+        opt = min_deletion_bruteforce(g, pattern)
+        got = solve(SolveRequest(graph=g, pattern=pattern, decomposition=td)).answer
+        assert got == opt, g.edges()
+        if not decide:
+            continue
+        for k in range(max(opt - 1, 0), opt + 1):
+            req = SolveRequest(
+                graph=g, pattern=pattern, mode="decide", k=k, decomposition=td
+            )
+            assert solve(req).answer is (k == opt), (k, g.edges())
+    # Above the oracle's guard, the answer must not depend on the shape of
+    # the decomposition.
+    for g in (grid_graph(4, 5), grid_graph(3, 20), random_tree(40, rng),
+              random_tree(60, rng)):
+        td = _mutate_td(heuristic_td(g), rng, 10)
+        assert validate_td(g, td) == []
+        got = solve(SolveRequest(graph=g, pattern=pattern, decomposition=td)).answer
+        assert got == minimize(g, pattern)
+
+
 def _mutate_td(td, rng: random.Random, steps: int):
     """`td` reshaped by `steps` random edits that keep it valid: a duplicate
     bag, a subset leaf, or a subdivided tree edge."""
@@ -350,17 +371,17 @@ def _mutate_td(td, rng: random.Random, steps: int):
     return TreeDecomposition(bags=bags, edges=edges)
 
 
-def _bag_view(g: Graph, bag, kept: int, s0: int) -> Graph:
+def _bag_view(g: Graph, bag, kept: int) -> Graph:
     """The kept bag vertices of a C4/paw key, their edges in g, and the
-    implicit universal vertex v0 (the last vertex) with its selected edges."""
+    implicit universal vertex v0 (the last vertex), which has no edge to a
+    bag vertex."""
     pos = [p for p in range(len(bag)) if kept >> p & 1]
     index = {bag[p]: i for i, p in enumerate(pos)}
     v0 = len(pos)
     edges = [
         (index[u], index[w]) for u in index for w in index if u < w and g.has_edge(u, w)
     ]
-    edges += [(v0, index[bag[p]]) for p in pos if s0 >> p & 1]
-    return Graph(len(pos) + 1, edges)
+    return Graph(v0 + 1, edges)
 
 
 def _stored_tables(monkeypatch, solver, g):
@@ -392,8 +413,8 @@ class TestDeadKeysStayAbsent:
         for _ in range(6):
             g = random_graph(7, 0.45, rng)
             for bag, table in _stored_tables(monkeypatch, solve_c4, g):
-                for (kept, s0, _, _), wps in table.items():
-                    assert c4_condition(_bag_view(g, bag, kept, s0))
+                for (kept, _, _), wps in table.items():
+                    assert c4_condition(_bag_view(g, bag, kept))
                     assert len(wps) <= 1 << kept.bit_count()
 
     def test_paw_forest_parts_stay_forests(self, monkeypatch):
@@ -403,8 +424,8 @@ class TestDeadKeysStayAbsent:
         for _ in range(6):
             g = random_graph(7, 0.45, rng)
             for bag, table in _stored_tables(monkeypatch, solve_paw, g):
-                for (labels, s0, _), wps in table.items():
-                    view = _bag_view(g, bag, _forest_mask(labels), s0)
+                for (labels, _), wps in table.items():
+                    view = _bag_view(g, bag, _forest_mask(labels))
                     assert view.m == view.n - len(connected_components(view))
                     assert len(wps) <= 1 << _forest_mask(labels).bit_count()
 
@@ -412,8 +433,11 @@ class TestDeadKeysStayAbsent:
 class TestPruningStrength:
     """Bag edges and triangles, counted where they form, prune the tables.
     Settling them only at forget nodes keeps every answer but grows the
-    tables several-fold (3x12 grid: C4 211 keys, P3 54), so today's sizes
-    are ceilings: pattern -> (max_table_size, max_partition_set_size)."""
+    tables several-fold (3x12 grid: C4 211 keys, P3 54).  C4 and paw take
+    each component's v0-edge at a forget node, never at a bag vertex; taking
+    it at introduce, as a key field, keeps every answer but about doubles
+    their tables (3x12 grid: C4 90 keys, paw 165).  So today's sizes are
+    ceilings: pattern -> (max_table_size, max_partition_set_size)."""
 
     CEILINGS = {
         "grid3x12": {
@@ -421,16 +445,16 @@ class TestPruningStrength:
             "p4": (60, None),
             "k1s:3": (55, None),
             "k1s:4": (82, None),
-            "c4": (90, 4),
-            "paw": (165, 4),
+            "c4": (36, 4),
+            "paw": (86, 4),
         },
         "frozen#2": {
             "p3": (26, None),
             "p4": (67, None),
             "k1s:3": (71, None),
             "k1s:4": (128, None),
-            "c4": (159, 3),
-            "paw": (186, 3),
+            "c4": (65, 3),
+            "paw": (105, 3),
         },
     }
 
