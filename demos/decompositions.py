@@ -33,7 +33,7 @@ def main():
         exact = exact_td_small(g)
         ok = "valid" if validate_td(g, td) == [] else "INVALID"
         print(
-            f"   {name:10s} min-fill width {td.width}, optimal {exact.width} ({ok})"
+            f"   {name:10s} heuristic width {td.width}, optimal {exact.width} ({ok})"
         )
     print()
 

@@ -1,16 +1,17 @@
 """Print the heuristic tree decomposition of a fixed, seeded graph set, one
 line per graph.
 
-Run it on two checkouts and diff the outputs to check that a change to
-`heuristic_td` keeps every elimination order, bag and tree edge:
+Run it on two checkouts and diff the outputs to see which graphs a change
+to `heuristic_td` touches, and how their width and node count move:
 
     PYTHONPATH=src python scripts/td_snapshot.py > td.txt
 
-Each line is: name, n, m, width, node count, and a SHA-256 prefix of the
-bags (each sorted, in node order) and the tree edges (in the order
-returned).  Graphs: the instances of `answer_snapshot.py` (200 G(n <= 14),
-the ten frozen acceptance instances, the 3x12 grid, G(18, 0.3), the
-2x40, 3x40 and 4x40 grids), 100
+Each line is: name, n, m, width, the MMD+ lower bound on treewidth that
+the decomposition carries (the width is proven optimal when the two are
+equal), node count, and a SHA-256 prefix of the bags (each sorted, in node
+order) and the tree edges (in the order returned).  Graphs: the instances
+of `answer_snapshot.py` (200 G(n <= 14), the ten frozen acceptance
+instances, the 3x12 grid, G(18, 0.3), the 2x40, 3x40 and 4x40 grids), 100
 G(n <= 40, p <= 0.5) from `random.Random(2025)`, grids of up to 600
 vertices, bandwidth-2..4 graphs and random recursive trees of 50-600
 vertices.
@@ -71,7 +72,7 @@ def main() -> None:
         td = heuristic_td(g)
         blob = repr(([tuple(sorted(b)) for b in td.bags], td.edges)).encode()
         digest = hashlib.sha256(blob).hexdigest()[:16]
-        print(name, g.n, g.m, td.width, td.num_nodes, digest)
+        print(name, g.n, g.m, td.width, td.lower_bound, td.num_nodes, digest)
 
 
 if __name__ == "__main__":

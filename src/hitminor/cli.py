@@ -193,7 +193,7 @@ def cmd_td(args) -> int:
         sys.stdout.write(text)
     if args.stats:
         print(
-            f"width={td.width} nodes={td.num_nodes}",
+            f"width={td.width} lower_bound={td.lower_bound} nodes={td.num_nodes}",
             file=sys.stderr,
         )
     return EXIT_OK

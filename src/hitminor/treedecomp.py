@@ -1,16 +1,24 @@
 """Tree decompositions: validation, construction, and nice normal form.
 
-The heuristic builder uses min-fill elimination (min-degree tie-break, then
-lowest id), which is deterministic and good in practice.  It keeps the key
-(fill, degree, id) of every live vertex in a heap and, after each
-elimination, rescores only the eliminated vertex's neighbours and, when fill
-edges were added, their neighbours (Bodlaender & Koster, "Treewidth
-computations I. Upper bounds", 2010); the bags are the neighbourhoods
-recorded as the game is played.  `exact_td_small` finds optimal width by
-dynamic programming over elimination prefixes, is guarded to small inputs
-and replays its order through the same bag builder.  Nice decompositions are
-rooted binary trees of leaf / introduce / forget / join nodes with empty
-root and leaf bags, stored in post-order arrays so traversal never recurses.
+The heuristic builder is min-fill elimination with a recency tie-break: of
+the vertices of least fill it takes one that most recently joined an
+eliminated vertex's neighbourhood, so elimination follows one front, then
+least degree, then lowest id.  It keeps every live vertex's key in a heap
+and, after each elimination, rescores only the eliminated vertex's
+neighbours and, when fill edges were added, their neighbours (Bodlaender &
+Koster, "Treewidth computations I. Upper bounds", 2010); the bags are the
+neighbourhoods recorded as the game is played.  A minor-min-width (MMD+)
+lower bound (Bodlaender & Koster, "Treewidth computations II. Lower
+bounds", 2011) proves that order width-optimal when the two meet; when they
+do not, plain min-fill (degree, then id, breaking ties) is run too and the
+narrower order kept, so the width is never above plain min-fill's.
+`exact_td_small` finds optimal width by dynamic programming over
+elimination prefixes, is guarded to small inputs and replays its order
+through the same bag builder.  Nice decompositions are rooted binary trees
+of leaf / introduce / forget / join nodes with empty root and leaf bags,
+stored in post-order arrays so traversal never recurses; branches join on
+the part of the bag they share, and the rest of the bag is introduced once,
+above the last join.
 """
 
 from __future__ import annotations
@@ -26,10 +34,16 @@ EXACT_TD_LIMIT = 16
 
 @dataclass
 class TreeDecomposition:
-    """Bags plus tree edges over node ids 0..len(bags)-1."""
+    """Bags plus tree edges over node ids 0..len(bags)-1.
+
+    `lower_bound`, when known, is a proven lower bound on the treewidth of
+    the decomposed graph; the decomposition is width-optimal when it equals
+    `width`.
+    """
 
     bags: list[frozenset[int]]
     edges: list[tuple[int, int]] = field(default_factory=list)
+    lower_bound: int | None = field(default=None, compare=False)
 
     @property
     def num_nodes(self) -> int:
@@ -118,12 +132,12 @@ def _eliminate(adj: list[set[int]], v: int) -> list[int]:
 
 
 def _td_from_elimination(
-    order: list[int], eliminated: list[list[int]]
+    order: list[int], eliminated: list[list[int]], lower_bound: int | None = None
 ) -> TreeDecomposition:
     """Decomposition whose bags are the elimination cliques of `order`;
     eliminated[i] is the neighbourhood of order[i] when it was eliminated."""
     if not order:
-        return TreeDecomposition(bags=[frozenset()], edges=[])
+        return TreeDecomposition(bags=[frozenset()], edges=[], lower_bound=lower_bound)
     position = {v: i for i, v in enumerate(order)}
     bags = [frozenset(nbrs).union((v,)) for v, nbrs in zip(order, eliminated)]
     edges: list[tuple[int, int]] = []
@@ -133,7 +147,7 @@ def _td_from_elimination(
         elif i + 1 < len(order):
             # Isolated at elimination time: attach to keep a single tree.
             edges.append((i, i + 1))
-    return TreeDecomposition(bags=bags, edges=edges)
+    return TreeDecomposition(bags=bags, edges=edges, lower_bound=lower_bound)
 
 
 def _fill(adj: list[set[int]], v: int) -> int:
@@ -143,21 +157,25 @@ def _fill(adj: list[set[int]], v: int) -> int:
     return (d * (d - 1) - sum(len(adj[a] & nbrs) for a in nbrs)) // 2
 
 
-def heuristic_td(g: Graph) -> TreeDecomposition:
-    """Min-fill elimination ordering; ties by degree, then lowest id.
+def _min_fill_order(g: Graph, recency: bool) -> tuple[list[int], list[list[int]]]:
+    """Min-fill elimination: the order and each vertex's neighbourhood when
+    it was eliminated.
 
-    Every live vertex holds the key (fill, degree, id) in a heap; entries
-    that are no longer a vertex's current key are skipped when popped.
-    Eliminating v changes the degree and fill of its neighbours only, and
-    the fill of a vertex two steps away only through the fill edges just
-    added, so only those vertices are rescored; when v was simplicial (fill
-    0) each neighbour's new key follows from its old one in O(1).  The key
-    is a total order, so the result is the one a rescan of every live
-    vertex at each step would give.
+    Every live vertex holds the key (fill, -stamp, degree, id) in a heap;
+    entries that are no longer a vertex's current key are skipped when
+    popped.  With `recency`, stamp[w] is the step (counted from 1) at which
+    w last joined an eliminated vertex's neighbourhood; without it every
+    stamp stays 0 and the key is plain min-fill's.  Eliminating v changes
+    the stamp, degree and fill of its neighbours only, and the fill of a
+    vertex two steps away only through the fill edges just added, so only
+    those vertices are rescored; when v was simplicial (fill 0) each
+    neighbour's new key follows from its old one in O(1).  The key is a
+    total order, so the result is the one a rescan of every live vertex at
+    each step would give.
     """
     adj = [set(g.neighbors(v)) for v in range(g.n)]
-    key: list[tuple[int, int, int] | None] = [
-        (_fill(adj, v), len(adj[v]), v) for v in range(g.n)
+    key: list[tuple[int, int, int, int] | None] = [
+        (_fill(adj, v), 0, len(adj[v]), v) for v in range(g.n)
     ]
     heap = list(key)
     heapq.heapify(heap)
@@ -165,33 +183,94 @@ def heuristic_td(g: Graph) -> TreeDecomposition:
     eliminated: list[list[int]] = []
     while heap:
         entry = heapq.heappop(heap)
-        v = entry[2]
+        v = entry[3]
         if entry is not key[v]:
             continue
         key[v] = None
         nbrs = _eliminate(adj, v)
         order.append(v)
         eliminated.append(nbrs)
+        stamp = -len(order) if recency else 0
         if not entry[0]:
             # v was simplicial: no edge was added, so vertices two steps away
             # keep their key, and a neighbour a loses exactly v and the
             # deg(a) - |N(v)| non-adjacent pairs v formed with a's other
             # neighbours (N(v) - a is inside N(a), being a clique).
             for a in nbrs:
-                fill, deg, _ = key[a]
-                new = (fill - deg + len(nbrs), deg - 1, a)
+                fill, _, deg, _ = key[a]
+                new = (fill - deg + len(nbrs), stamp, deg - 1, a)
                 key[a] = new
                 heapq.heappush(heap, new)
             continue
-        touched = set(nbrs)
-        for a in nbrs:
-            touched |= adj[a]
-        for w in touched:
-            new = (_fill(adj, w), len(adj[w]), w)
+        stamps = {w: key[w][1] for a in nbrs for w in adj[a]}
+        stamps.update(dict.fromkeys(nbrs, stamp))
+        for w, s in stamps.items():
+            new = (_fill(adj, w), s, len(adj[w]), w)
             if new != key[w]:
                 key[w] = new
                 heapq.heappush(heap, new)
-    return _td_from_elimination(order, eliminated)
+    return order, eliminated
+
+
+def mmd_lower_bound(g: Graph) -> int:
+    """Minor-min-width (MMD+, least-degree contraction) treewidth lower bound.
+
+    Repeatedly takes a vertex of least degree (lowest id on ties), records
+    its degree and contracts it into its least-degree neighbour (lowest id
+    on ties); an isolated vertex is deleted.  Every graph met is a minor of
+    g, and treewidth is at least the least degree and does not grow under
+    minors, so the largest degree recorded is at most tw(g) (Bodlaender &
+    Koster, "Treewidth computations II. Lower bounds", 2011).  -1 for the
+    empty graph, matching the width of its one empty bag.  Stops once no
+    more than bound + 1 vertices remain: none of them can record more.
+    """
+    adj: list[set[int] | None] = [set(g.neighbors(v)) for v in range(g.n)]
+    heap = [(len(nbrs), v) for v, nbrs in enumerate(adj)]
+    heapq.heapify(heap)
+    alive = g.n
+    bound = -1
+    while alive > bound + 1:
+        d, v = heapq.heappop(heap)
+        nbrs = adj[v]
+        if nbrs is None or len(nbrs) != d:
+            continue
+        bound = max(bound, d)
+        adj[v] = None
+        alive -= 1
+        if not nbrs:
+            continue
+        u = min(nbrs, key=lambda w: (len(adj[w]), w))
+        into = adj[u]
+        into.discard(v)
+        nbrs.discard(u)
+        for w in nbrs:
+            row = adj[w]
+            row.discard(v)
+            row.add(u)
+            heapq.heappush(heap, (len(row), w))
+        into |= nbrs
+        heapq.heappush(heap, (len(into), u))
+    return bound
+
+
+def heuristic_td(g: Graph) -> TreeDecomposition:
+    """Min-fill elimination with the recency tie-break, kept when the MMD+
+    lower bound proves it width-optimal; otherwise the narrower of it and
+    plain min-fill, ties going to the recency order.
+
+    Following one front builds few joins, but on some graphs (the 5 x n
+    grids among them) it comes out one wider than plain min-fill, which the
+    fallback catches.  The returned decomposition carries the bound as
+    `lower_bound`.
+    """
+    order, eliminated = _min_fill_order(g, recency=True)
+    width = max(map(len, eliminated), default=-1)
+    bound = mmd_lower_bound(g)
+    if width > bound:
+        plain = _min_fill_order(g, recency=False)
+        if max(map(len, plain[1])) < width:
+            order, eliminated = plain
+    return _td_from_elimination(order, eliminated, bound)
 
 
 def exact_td_small(g: Graph) -> TreeDecomposition:
@@ -255,7 +334,7 @@ def exact_td_small(g: Graph) -> TreeDecomposition:
         mask ^= 1 << last[mask]
     order.reverse()
     adj = [set(g.neighbors(v)) for v in range(n)]
-    td = _td_from_elimination(order, [_eliminate(adj, v) for v in order])
+    td = _td_from_elimination(order, [_eliminate(adj, v) for v in order], best[full])
     assert td.width == best[full]
     return td
 
@@ -413,17 +492,19 @@ def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
             for c in children[t]:
                 stack.append((c, False))
             continue
+        # The branches join on the part of the bag they hold between them,
+        # and the rest of the bag is introduced once, above the last join.
         bag = td.bags[t]
-        if not children[t]:
-            tops[t] = transition(nice._append(LEAF, None, (), ()), frozenset(), bag)
-            continue
-        branch_tops = [
-            transition(tops[c], td.bags[c], bag) for c in children[t]
-        ]
-        node = branch_tops[0]
-        for other in branch_tops[1:]:
-            node = nice._append(JOIN, None, tuple(sorted(bag)), (node, other))
-        tops[t] = node
+        kids = children[t]
+        shared = bag & frozenset().union(*(td.bags[c] for c in kids))
+        if kids:
+            node = transition(tops[kids[0]], td.bags[kids[0]], shared)
+        else:
+            node = nice._append(LEAF, None, (), ())
+        for c in kids[1:]:
+            top = transition(tops[c], td.bags[c], shared)
+            node = nice._append(JOIN, None, tuple(sorted(shared)), (node, top))
+        tops[t] = transition(node, shared, bag)
 
     transition(tops[0], td.bags[0], frozenset())
     return nice

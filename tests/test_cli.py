@@ -212,7 +212,7 @@ class TestTd:
         captured = capsys.readouterr()
         assert code == EXIT_OK
         assert captured.out.startswith("s td ")
-        assert "width=2" in captured.err
+        assert "width=2 lower_bound=2 " in captured.err
 
     def test_exact_guard(self, tmp_path):
         big = Graph(17)
@@ -224,7 +224,7 @@ class TestTd:
         code = main(["td", "--graph", str(demo_dir / "k4.gr"), "--exact", "--stats"])
         captured = capsys.readouterr()
         assert code == EXIT_OK
-        assert "width=3" in captured.err
+        assert "width=3 lower_bound=3 " in captured.err
 
 
 class TestBench:

@@ -297,6 +297,23 @@ class TestPipelines:
             assert key in stats
         assert stats["max_partition_set_size"] >= 1
 
+    def test_decomposition_lower_bound_reported(self):
+        """A solve that builds its own decomposition reports the MMD+ bound
+        and whether it meets the width; a supplied one reports neither."""
+        stats = solve(SolveRequest(graph=grid_graph(4, 10), pattern=P4)).stats
+        assert stats["td_width"] == stats["td_lower_bound"] == 4
+        assert stats["td_proven_optimal"] is True
+        # The 5 x n grids have treewidth 5; the bound stops at 4.
+        stats = solve(SolveRequest(graph=grid_graph(5, 10), pattern=P4)).stats
+        assert (stats["td_width"], stats["td_lower_bound"]) == (5, 4)
+        assert stats["td_proven_optimal"] is False
+        g = cycle_graph(6)
+        again = solve(SolveRequest(graph=g, pattern=P4)).stats
+        assert again["td_lower_bound"] == 2 and again["td_proven_optimal"] is True
+        supplied = solve(SolveRequest(graph=g, pattern=P4, decomposition=heuristic_td(g)))
+        assert "td_lower_bound" not in supplied.stats
+        assert "td_proven_optimal" not in supplied.stats
+
     @pytest.mark.parametrize("pattern", SOLVER_PATTERNS, ids=lambda p: p.name)
     def test_table_entries_counted_and_repeatable(self, pattern):
         g = grid_graph(3, 6)

@@ -17,7 +17,15 @@ from hitminor import (
     write_td,
 )
 from hitminor.graph import disjoint_union, grid_graph
-from hitminor.treedecomp import FORGET, INTRODUCE, LEAF
+from hitminor.treedecomp import (
+    FORGET,
+    INTRODUCE,
+    JOIN,
+    LEAF,
+    _min_fill_order,
+    _td_from_elimination,
+    mmd_lower_bound,
+)
 
 from corpus import (
     bandwidth_graph,
@@ -29,18 +37,22 @@ from corpus import (
 )
 
 
-def full_rescan_min_fill(g: Graph) -> TreeDecomposition:
+def full_rescan_min_fill(g: Graph, recency: bool = False) -> TreeDecomposition:
     """Reference min-fill: rescan every live vertex at each step, key
-    (fill, degree, id), bags and tree edges from the elimination cliques."""
+    (fill, degree, id), bags and tree edges from the elimination cliques.
+    With `recency` the key is (fill, -stamp, degree, id), stamp[w] being
+    the step (from 1) at which w last joined an eliminated vertex's
+    neighbourhood, 0 before that."""
     adj = [set(g.neighbors(v)) for v in range(g.n)]
     alive = set(range(g.n))
+    stamp = [0] * g.n
     order: list[int] = []
     cliques: list[list[int]] = []
 
     def key(v):
         nl = sorted(adj[v])
         fill = sum(b not in adj[a] for i, a in enumerate(nl) for b in nl[i + 1 :])
-        return (fill, len(nl), v)
+        return (fill, -stamp[v], len(nl), v) if recency else (fill, len(nl), v)
 
     while alive:
         best = min(alive, key=key)
@@ -48,6 +60,7 @@ def full_rescan_min_fill(g: Graph) -> TreeDecomposition:
         for a in nbrs:
             adj[a].discard(best)
             adj[a].update(b for b in nbrs if b != a)
+            stamp[a] = len(order) + 1
         alive.discard(best)
         order.append(best)
         cliques.append(nbrs)
@@ -61,6 +74,62 @@ def full_rescan_min_fill(g: Graph) -> TreeDecomposition:
     ]
     bags = [frozenset([v, *nbrs]) for v, nbrs in zip(order, cliques)]
     return TreeDecomposition(bags=bags, edges=edges)
+
+
+def min_fill_td(g: Graph, recency: bool = False) -> TreeDecomposition:
+    """The incremental min-fill order of `heuristic_td`, played into bags."""
+    return _td_from_elimination(*_min_fill_order(g, recency))
+
+
+def rescan_reference_graphs() -> list[Graph]:
+    rng = random.Random(41)
+    graphs = [Graph(0), Graph(1), Graph(5), Graph(6, [(0, 1), (3, 4)])]
+    graphs += [
+        random_graph(rng.randrange(0, 41), rng.random() * 0.5, rng)
+        for _ in range(300)
+    ]
+    # Disconnected, with isolated vertices.
+    graphs += [
+        disjoint_union(
+            disjoint_union(random_graph(12, 0.3, rng), Graph(3)),
+            cycle_graph(6),
+        )
+        for _ in range(5)
+    ]
+    graphs += [
+        grid_graph(3, 100),
+        grid_graph(4, 75),
+        bandwidth_graph(300, 3, 0.4, random.Random(1)),
+        bandwidth_graph(300, 3, 0.4, random.Random(2)),
+        random_tree(300, random.Random(1)),
+        random_tree(300, random.Random(2)),
+    ]
+    return graphs
+
+
+def star_reference_graphs() -> list[Graph]:
+    """Stars, with a path of 0-3 vertices hanging off each leaf."""
+    rng = random.Random(43)
+    graphs = []
+    for leaves in (1, 2, 3, 7, 30):
+        for centre in (0, leaves):
+            graphs.append(
+                Graph(leaves + 1, [(centre, v) for v in range(leaves + 1) if v != centre])
+            )
+    for _ in range(20):
+        leaves = rng.randrange(1, 25)
+        edges = [(0, v) for v in range(1, leaves + 1)]
+        n = leaves + 1
+        for leaf in range(1, leaves + 1):
+            end = leaf
+            for _ in range(rng.randrange(4)):
+                edges.append((end, n))
+                end = n
+                n += 1
+        perm = list(range(n))
+        rng.shuffle(perm)
+        graphs.append(Graph(n, [(perm[a], perm[b]) for a, b in edges]))
+    return graphs
 
 
 class TestValidate:
@@ -130,63 +199,42 @@ class TestHeuristic:
             assert validate_td(g, td) == []
 
     def test_matches_full_rescan_reference(self):
-        rng = random.Random(41)
-        graphs = [Graph(0), Graph(1), Graph(5), Graph(6, [(0, 1), (3, 4)])]
-        graphs += [
-            random_graph(rng.randrange(0, 41), rng.random() * 0.5, rng)
-            for _ in range(300)
-        ]
-        # Disconnected, with isolated vertices.
-        graphs += [
-            disjoint_union(
-                disjoint_union(random_graph(12, 0.3, rng), Graph(3)),
-                cycle_graph(6),
-            )
-            for _ in range(5)
-        ]
-        graphs += [
-            grid_graph(3, 100),
-            grid_graph(4, 75),
-            bandwidth_graph(300, 3, 0.4, random.Random(1)),
-            bandwidth_graph(300, 3, 0.4, random.Random(2)),
-            random_tree(300, random.Random(1)),
-            random_tree(300, random.Random(2)),
-        ]
-        for g in graphs:
+        """The plain min-fill order, the fallback of `heuristic_td`."""
+        for g in rescan_reference_graphs():
             ref = full_rescan_min_fill(g)
-            td = heuristic_td(g)
+            td = min_fill_td(g)
             assert td.bags == ref.bags, (g.n, g.edges())
             assert td.edges == ref.edges, (g.n, g.edges())
 
     def test_stars_match_full_rescan_reference(self):
         """Simplicial eliminations (the leaves, the path ends) update their
         neighbour's key without a rescan; the orders must not change."""
-        rng = random.Random(43)
-        graphs = []
-        for leaves in (1, 2, 3, 7, 30):
-            for centre in (0, leaves):
-                graphs.append(
-                    Graph(leaves + 1, [(centre, v) for v in range(leaves + 1) if v != centre])
-                )
-        for _ in range(20):
-            leaves = rng.randrange(1, 25)
-            edges = [(0, v) for v in range(1, leaves + 1)]
-            n = leaves + 1
-            # A path of 0-3 vertices hangs off each leaf.
-            for leaf in range(1, leaves + 1):
-                end = leaf
-                for _ in range(rng.randrange(4)):
-                    edges.append((end, n))
-                    end = n
-                    n += 1
-            perm = list(range(n))
-            rng.shuffle(perm)
-            graphs.append(Graph(n, [(perm[a], perm[b]) for a, b in edges]))
-        for g in graphs:
+        for g in star_reference_graphs():
             ref = full_rescan_min_fill(g)
-            td = heuristic_td(g)
+            td = min_fill_td(g)
             assert td.bags == ref.bags, (g.n, g.edges())
             assert td.edges == ref.edges, (g.n, g.edges())
+
+    def test_recency_matches_full_rescan_reference(self):
+        for g in rescan_reference_graphs() + star_reference_graphs():
+            ref = full_rescan_min_fill(g, recency=True)
+            td = min_fill_td(g, recency=True)
+            assert td.bags == ref.bags, (g.n, g.edges())
+            assert td.edges == ref.edges, (g.n, g.edges())
+
+    def test_never_wider_than_plain_min_fill(self):
+        """The recency order alone is one wider on these grids (6 against
+        5); the fallback to plain min-fill must catch it."""
+        rng = random.Random(44)
+        graphs = [grid_graph(5, 10), grid_graph(5, 30), grid_graph(5, 60)]
+        graphs += [
+            random_graph(rng.randrange(0, 41), rng.random() * 0.5, rng)
+            for _ in range(300)
+        ]
+        for g in graphs:
+            td = heuristic_td(g)
+            assert td.width <= full_rescan_min_fill(g).width, (g.n, g.edges())
+            assert td.lower_bound == mmd_lower_bound(g) <= td.width
 
     def test_scales_to_ten_thousand_sparse_vertices(self):
         bw = bandwidth_graph(10_000, 3, 0.4, random.Random(3))
@@ -201,6 +249,21 @@ class TestHeuristic:
         td = heuristic_td(star)
         assert validate_td(star, td) == []
         assert td.width == 1
+
+
+class TestLowerBound:
+    def test_small_graphs(self):
+        assert mmd_lower_bound(Graph(0)) == -1
+        assert mmd_lower_bound(Graph(3)) == 0
+        assert mmd_lower_bound(path_graph(4)) == 1
+        assert mmd_lower_bound(cycle_graph(6)) == 2
+        assert mmd_lower_bound(complete_graph(5)) == 4
+
+    def test_at_most_exact_width(self):
+        rng = random.Random(45)
+        for _ in range(150):
+            g = random_graph(rng.randrange(0, 13), rng.random(), rng)
+            assert mmd_lower_bound(g) <= exact_td_small(g).width, (g.n, g.edges())
 
 
 class TestExact:
@@ -242,6 +305,41 @@ class TestMakeNice:
         g = path_graph(3)
         with pytest.raises(ValueError, match="invalid"):
             make_nice(TreeDecomposition(bags=[frozenset({0, 1})]), g)
+
+    def test_branches_join_on_shared_bag(self):
+        """Three children hold 0, 1 and 2 of the root bag between them, not
+        3: the joins run on {0, 1, 2}, and 3 is introduced once, right
+        above the last join."""
+        g = Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 6)])
+        td = TreeDecomposition(
+            bags=[
+                frozenset({0, 1, 2, 3}),
+                frozenset({0, 1, 4}),
+                frozenset({1, 2, 5}),
+                frozenset({2, 6}),
+            ],
+            edges=[(0, 1), (0, 2), (0, 3)],
+        )
+        ntd = make_nice(td, g)
+        ntd.check(g)
+        assert ntd.width == td.width
+        joins = [t for t in range(len(ntd)) if ntd.kinds[t] == JOIN]
+        assert len(joins) == 2
+        assert all(ntd.bags[t] == (0, 1, 2) for t in joins)
+        intros = [t for t in range(len(ntd)) if ntd.kinds[t] == INTRODUCE and ntd.vertex[t] == 3]
+        assert len(intros) == 1
+        assert ntd.children[intros[0]] == (max(joins),)
+        assert ntd.bags[intros[0]] == (0, 1, 2, 3)
+
+    def test_one_child_forgets_then_introduces(self):
+        """With one child there is no join: the child's own vertices are
+        forgotten, then the rest of the bag is introduced."""
+        g = path_graph(3)
+        td = TreeDecomposition(bags=[frozenset({1, 2}), frozenset({0, 1})], edges=[(0, 1)])
+        ntd = make_nice(td, g)
+        ntd.check(g)
+        assert ntd.kinds == [LEAF, INTRODUCE, INTRODUCE, FORGET, INTRODUCE, FORGET, FORGET]
+        assert ntd.vertex == [None, 0, 1, 0, 2, 1, 2]
 
     def test_fuzz_invariants_and_width(self):
         rng = random.Random(8)
