@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, c4_condition, connected_components
+from .graph import (
+    Graph, c4_condition, connected_components, contains_diamond, count_triangles
+)
 
 KINDS = ("p3", "p4", "k1s", "c4", "paw", "chair", "banner")
 
@@ -163,8 +165,6 @@ def is_free_explain(g: Graph, p: Pattern) -> tuple[bool, str | None]:
 
 
 def _c4_clause(g: Graph) -> str:
-    from .graph import contains_diamond, count_triangles
-
     if contains_diamond(g):
         return "contains a diamond subgraph"
     cc = len(connected_components(g))

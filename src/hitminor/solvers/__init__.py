@@ -103,7 +103,6 @@ def solve(req: SolveRequest) -> SolveResult:
             value = solve_k1s(g, ntd, pattern.s, stats=stats)
         answer = value <= req.k if req.mode == "decide" else value
 
-    stats["nice_width"] = ntd.width
     stats["nice_nodes"] = len(ntd)
     stats["wall_time_s"] = time.perf_counter() - started
     return SolveResult(answer=answer, stats=stats)

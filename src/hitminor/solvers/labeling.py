@@ -4,10 +4,11 @@ degree one and `solve_p3` is the degree-1 case of `solve_bdd`.
 
 Each table maps a tuple of per-bag-vertex labels to the smallest number of
 deleted vertices the subtree has already forgotten, among partial solutions
-realizing those labels on the subtree graph.  A deletion is paid once, when
-its vertex is forgotten, so joins just add the two counts.  Missing keys mean
-"infeasible".  Bag edges are present in both children of a join node, so
-the bounded-degree join subtracts bag-level degrees once.
+realizing those labels on the subtree graph; missing keys mean "infeasible".
+Label 0 means deleted in every label table (P4, bounded degree, paw).  Both
+solvers share one forget, which pays each deletion once, when its vertex is
+forgotten, and one table-driven join, which adds the two counts; each
+solver supplies only the join's per-position key and merge rows.
 
 P4 uses six labels: deleted, ISO (kept with no kept neighbour yet, its role
 still open), star leaf, star centre, open triangle vertex and completed
@@ -19,13 +20,13 @@ vertex without one may carry on each side a star or triangle grown from
 that side's forgotten vertices, and an ISO side takes the other's label.
 
 The hooks are module functions that read bag edges only from the adjacency
-bitmasks the engine hands them; `solve_bdd` binds its degree bound d to them
-with `partial`.
+bitmasks the engine hands them; the solvers bind their parts with `partial`.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
+from itertools import product
 from operator import getitem
 
 from ..graph import Graph
@@ -43,6 +44,50 @@ def _min_put(table: Table, key: tuple[int, ...], value: int) -> None:
 
 def _leaf() -> Table:
     return {(): 0}
+
+
+def _forget(stay: int | None, v: int, cpos: int, child: Table) -> Table:
+    """Drop position cpos, paying for a deletion; label `stay` may not leave."""
+    out: Table = {}
+    for labels, r in child.items():
+        x = labels[cpos]
+        if x == stay:
+            continue
+        _min_put(out, remove_at(labels, cpos), r + (not x))
+    return out
+
+
+def _join(rows_of, adj: list[int], left: Table, right: Table) -> Table:
+    """`rows_of(counts)` maps each position's number of kept bag neighbours
+    to its key row and its merge row (merge[a][b]: the joined label, or -1).
+    The counts depend only on the deleted positions, so each deletion mask's
+    rows are built once."""
+    rows_by_mask: dict[tuple[bool, ...], tuple[list, list]] = {}
+
+    def rows_for(labels: tuple[int, ...]) -> tuple[list, list]:
+        kept = tuple(map(bool, labels))  # 0, deleted, is the only falsy label
+        rows = rows_by_mask.get(kept)
+        if rows is None:
+            mask = sum(1 << i for i, k in enumerate(kept) if k)
+            rows = rows_by_mask[kept] = rows_of([(row & mask).bit_count() for row in adj])
+        return rows
+
+    by_key: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    for labels, r in right.items():
+        key_rows = rows_for(labels)[0]
+        by_key.setdefault(tuple(map(getitem, key_rows, labels)), []).append((labels, r))
+    out: Table = {}
+    for labels1, r1 in left.items():
+        key_rows, merge_rows = rows_for(labels1)
+        bucket = by_key.get(tuple(map(getitem, key_rows, labels1)))
+        if bucket is None:
+            continue
+        merge = list(map(getitem, merge_rows, labels1))
+        for labels2, r2 in bucket:
+            merged = tuple(map(getitem, merge, labels2))
+            if -1 not in merged:
+                _min_put(out, merged, r1 + r2)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +142,12 @@ _P4_MERGE = tuple(_p4_merge_rows(c) for c in range(3))
 
 def solve_p4(g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None) -> int:
     """Minimum deletions so every component is a triangle or a star."""
-    hooks = (_p4_introduce, _p4_forget, _p4_join)
+    hooks = (_p4_introduce, partial(_forget, _P4_TRI_OPEN), partial(_join, _p4_rows))
     return run_dp(g, ntd, _leaf, *hooks, bound=6, stats=stats)[()]
+
+
+def _p4_rows(counts: list[int]) -> tuple[list, list]:
+    return [_P4_JOIN_KEY[c > 0] for c in counts], [_P4_MERGE[min(c, 2)] for c in counts]
 
 
 def _p4_introduce(bag, adj: list[int], pos: int, child: Table) -> Table:
@@ -139,65 +188,19 @@ def _p4_introduce(bag, adj: list[int], pos: int, child: Table) -> Table:
     return out
 
 
-def _p4_forget(v: int, cpos: int, child: Table) -> Table:
-    out: Table = {}
-    for labels, r in child.items():
-        x = labels[cpos]
-        if x == _P4_TRI_OPEN:
-            continue
-        _min_put(out, remove_at(labels, cpos), r + (x == _P4_DEL))
-    return out
-
-
-def _p4_join(adj: list[int], left: Table, right: Table) -> Table:
-    # Kept bag neighbors per position depend only on the deleted positions,
-    # so each deletion mask's key rows and merge rows are built once.
-    rows_by_mask: dict[tuple[bool, ...], tuple[list, list]] = {}
-
-    def rows_for(labels: tuple[int, ...]) -> tuple[list, list]:
-        kept = tuple(map(bool, labels))  # _P4_DEL is the only falsy label
-        rows = rows_by_mask.get(kept)
-        if rows is None:
-            mask = sum(1 << i for i, k in enumerate(kept) if k)
-            counts = [min((row & mask).bit_count(), 2) for row in adj]
-            rows = [_P4_JOIN_KEY[c > 0] for c in counts], [_P4_MERGE[c] for c in counts]
-            rows_by_mask[kept] = rows
-        return rows
-
-    by_key: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    for labels, r in right.items():
-        key_rows = rows_for(labels)[0]
-        by_key.setdefault(tuple(map(getitem, key_rows, labels)), []).append((labels, r))
-    out: Table = {}
-    for labels1, r1 in left.items():
-        key_rows, merge_rows = rows_for(labels1)
-        bucket = by_key.get(tuple(map(getitem, key_rows, labels1)))
-        if bucket is None:
-            continue
-        merge = list(map(getitem, merge_rows, labels1))
-        for labels2, r2 in bucket:
-            merged = tuple(map(getitem, merge, labels2))
-            if -1 not in merged:
-                _min_put(out, merged, r1 + r2)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Deletion to maximum degree d.
 #
-# Labels: -1 = deleted, 0..d = exact current degree of a kept vertex.
+# Labels: 0 deleted, 1 + the current degree (0..d) of a kept vertex.
 
 
 def solve_bdd(
-    g: Graph,
-    ntd: NiceTreeDecomposition,
-    d: int,
-    stats: dict | None = None,
+    g: Graph, ntd: NiceTreeDecomposition, d: int, stats: dict | None = None
 ) -> int:
     """Minimum deletions so every remaining vertex has degree at most d."""
     if d < 0:
         raise ValueError("maximum degree must be non-negative")
-    hooks = (partial(_bdd_introduce, d), _bdd_forget, partial(_bdd_join, d))
+    hooks = (partial(_bdd_introduce, d), partial(_forget, None), partial(_join, _bdd_rows(d)))
     return run_dp(g, ntd, _leaf, *hooks, bound=d + 2, stats=stats)[()]
 
 
@@ -205,57 +208,38 @@ def _bdd_introduce(d: int, bag, adj: list[int], pos: int, child: Table) -> Table
     child_nbrs = bits(remove_bit(adj[pos], pos))
     out: Table = {}
     for labels, r in child.items():
-        _min_put(out, insert_at(labels, pos, -1), r)
-        kept = [p for p in child_nbrs if labels[p] >= 0]
-        if len(kept) > d or any(labels[p] + 1 > d for p in kept):
+        # Only this entry yields the key with the new vertex deleted.
+        out[insert_at(labels, pos, 0)] = r
+        kept = [p for p in child_nbrs if labels[p]]
+        if len(kept) > d or any(labels[p] > d for p in kept):
             continue
         upd = list(labels)
         for p in kept:
             upd[p] += 1
-        _min_put(out, insert_at(tuple(upd), pos, len(kept)), r)
+        _min_put(out, insert_at(tuple(upd), pos, 1 + len(kept)), r)
     return out
 
 
-def _bdd_forget(v: int, cpos: int, child: Table) -> Table:
-    out: Table = {}
-    for labels, r in child.items():
-        _min_put(out, remove_at(labels, cpos), r + (labels[cpos] < 0))
-    return out
+@cache
+def _bdd_rows(d: int):
+    """The join's `rows_of` for degree bound d.  Bag edges are present in
+    both children, so both count a kept vertex's c kept bag neighbours:
+    labels a and b join to a + b - 1 - c if that is at most d + 1.  Only a
+    deleted vertex can have c > d + 1, and row 0 is the same for every c."""
+    key = (0,) + (1,) * (d + 1)
+    merge = []
+    for c in range(d + 2):
+        rows = [[-1] * (d + 2) for _ in range(d + 2)]
+        rows[0][0] = 0
+        for a, b in product(range(1, d + 2), repeat=2):
+            if a + b - 1 - c <= d + 1:
+                rows[a][b] = a + b - 1 - c
+        merge.append(tuple(map(tuple, rows)))
 
+    def rows_of(counts: list[int]) -> tuple[list, list]:
+        return [key] * len(counts), [merge[min(c, d + 1)] for c in counts]
 
-def _bdd_join(d: int, adj: list[int], left: Table, right: Table) -> Table:
-    nbrs = [bits(row) for row in adj]
-    by_deleted: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    for labels, r in right.items():
-        mask = tuple(1 if x < 0 else 0 for x in labels)
-        by_deleted.setdefault(mask, []).append((labels, r))
-    # Kept bag neighbors per position depend only on the deletion mask.
-    bag_degs = {
-        mask: [sum(1 for p in nbrs[i] if not mask[p]) for i in range(len(mask))]
-        for mask in by_deleted
-    }
-    out: Table = {}
-    for labels1, r1 in left.items():
-        mask = tuple(1 if x < 0 else 0 for x in labels1)
-        bucket = by_deleted.get(mask)
-        if bucket is None:
-            continue
-        bag_deg = bag_degs[mask]
-        for labels2, r2 in bucket:
-            merged = []
-            ok = True
-            for i, (a, b) in enumerate(zip(labels1, labels2)):
-                if a < 0:
-                    merged.append(-1)
-                    continue
-                f = a + b - bag_deg[i]
-                if f > d:
-                    ok = False
-                    break
-                merged.append(f)
-            if ok:
-                _min_put(out, tuple(merged), r1 + r2)
-    return out
+    return rows_of
 
 
 def solve_p3(g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None) -> int:

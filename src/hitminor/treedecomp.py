@@ -284,7 +284,7 @@ def exact_td_small(g: Graph) -> TreeDecomposition:
         )
     n = g.n
     if n == 0:
-        return TreeDecomposition(bags=[frozenset()], edges=[])
+        return TreeDecomposition(bags=[frozenset()], edges=[], lower_bound=-1)
     nbr_mask = [0] * n
     for u, v in g.edges():
         nbr_mask[u] |= 1 << v

@@ -210,7 +210,7 @@ def test_criterion_5_table_size_bounds(bench_corpus, capsys):
         g = random_graph(9, 0.4, rng)
         for p in (C4, PAW):
             res = solve(SolveRequest(graph=g, pattern=p))
-            width = res.stats["nice_width"]
+            width = res.stats["td_width"]
             assert res.stats["max_partition_set_size"] <= 2 ** (width + 1)
     with capsys.disabled():
         report("5 table-size bounds", True, "bench corpus + direct stats")
@@ -242,7 +242,7 @@ def test_criterion_6_single_exponential_scaling(capsys):
         points = []
         for g in grids:
             res = runner(g)
-            width = res.stats["nice_width"]
+            width = res.stats["td_width"]
             points.append((width, math.log(max(res.stats["max_table_size"], 1))))
         xs = [w for w, _ in points]
         ys = [y for _, y in points]

@@ -226,6 +226,12 @@ class TestTd:
         assert code == EXIT_OK
         assert "width=3 lower_bound=3 " in captured.err
 
+    def test_exact_empty_graph(self, tmp_path, capsys):
+        (tmp_path / "empty.gr").write_text("p tw 0 0\n")
+        code = main(["td", "--graph", str(tmp_path / "empty.gr"), "--exact", "--stats"])
+        assert code == EXIT_OK
+        assert "width=-1 lower_bound=-1 " in capsys.readouterr().err
+
 
 class TestBench:
     def test_reports_and_aggregate(self, demo_dir, capsys):

@@ -276,6 +276,12 @@ class TestPipelines:
         # decompositions add joins at full and partial bags.
         _check_join_heavy(P4, decide=False)
 
+    @pytest.mark.parametrize("pattern", [P3, k1s(3), k1s(4)], ids=lambda p: p.name)
+    def test_bounded_degree_on_join_heavy_decompositions(self, pattern):
+        # A join subtracts a vertex's kept bag neighbours, counted on both
+        # sides, and drops a pair whose summed degree exceeds the bound.
+        _check_join_heavy(pattern, decide=False)
+
     @pytest.mark.parametrize("pattern", [C4, PAW], ids=lambda p: p.name)
     def test_connectivity_on_join_heavy_decompositions(self, pattern):
         # A component takes its v0-edge where one of its vertices is

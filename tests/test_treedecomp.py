@@ -277,6 +277,10 @@ class TestExact:
         with pytest.raises(GuardError):
             exact_td_small(Graph(20))
 
+    def test_empty_graph_carries_its_width_as_bound(self):
+        td = exact_td_small(Graph(0))
+        assert td.lower_bound == td.width == -1
+
     def test_never_worse_than_heuristic(self):
         rng = random.Random(4)
         for _ in range(25):
