@@ -26,7 +26,6 @@ bitmasks the engine hands them; the solvers bind their parts with `partial`.
 from __future__ import annotations
 
 from functools import cache, partial
-from itertools import product
 from operator import getitem
 
 from ..graph import Graph
@@ -195,12 +194,17 @@ def _p4_introduce(bag, adj: list[int], pos: int, child: Table) -> Table:
 
 
 def solve_bdd(
-    g: Graph, ntd: NiceTreeDecomposition, d: int, stats: dict | None = None
+    g: Graph,
+    ntd: NiceTreeDecomposition,
+    d: int,
+    stats: dict | None = None,
 ) -> int:
     """Minimum deletions so every remaining vertex has degree at most d."""
     if d < 0:
         raise ValueError("maximum degree must be non-negative")
-    hooks = (partial(_bdd_introduce, d), partial(_forget, None), partial(_join, _bdd_rows(d)))
+    # Labels never exceed 1 + the maximum degree, so the join's rows stop there.
+    rows_of = _bdd_rows(min(d, g.max_degree()))
+    hooks = (partial(_bdd_introduce, d), partial(_forget, None), partial(_join, rows_of))
     return run_dp(g, ntd, _leaf, *hooks, bound=d + 2, stats=stats)[()]
 
 
@@ -220,24 +224,21 @@ def _bdd_introduce(d: int, bag, adj: list[int], pos: int, child: Table) -> Table
     return out
 
 
-@cache
 def _bdd_rows(d: int):
     """The join's `rows_of` for degree bound d.  Bag edges are present in
     both children, so both count a kept vertex's c kept bag neighbours:
-    labels a and b join to a + b - 1 - c if that is at most d + 1.  Only a
-    deleted vertex can have c > d + 1, and row 0 is the same for every c."""
+    labels a and b join to a + b - 1 - c if that is at most d + 1.  Each
+    c's merge row is built once per solve, when a join first needs it."""
     key = (0,) + (1,) * (d + 1)
-    merge = []
-    for c in range(d + 2):
-        rows = [[-1] * (d + 2) for _ in range(d + 2)]
-        rows[0][0] = 0
-        for a, b in product(range(1, d + 2), repeat=2):
-            if a + b - 1 - c <= d + 1:
-                rows[a][b] = a + b - 1 - c
-        merge.append(tuple(map(tuple, rows)))
+
+    @cache
+    def merge_row(c: int) -> tuple:
+        # A kept label a is at least 1 + c; b = 1, 2, ... joins to a - c, a - c + 1, ...
+        kept = ((-1, *range(a - c, d + 2), *(-1,) * (a - c - 1)) for a in range(1, d + 2))
+        return ((0,) + (-1,) * (d + 1), *kept)
 
     def rows_of(counts: list[int]) -> tuple[list, list]:
-        return [key] * len(counts), [merge[min(c, d + 1)] for c in counts]
+        return [key] * len(counts), list(map(merge_row, counts))
 
     return rows_of
 

@@ -63,6 +63,11 @@ class TestKnownAnswers:
         assert minimize(complete_graph(4), k1s(3)) == 1
         assert minimize(star_graph(4), k1s(4)) == 1
         assert minimize(star_graph(3), k1s(5)) == 0
+        # An s far above the maximum degree must stay cheap: the join's
+        # rows stop at the largest label that can occur.
+        assert minimize(star_graph(3), k1s(10_000)) == 0
+        assert minimize(star_graph(40), k1s(10**9)) == 0
+        assert minimize(star_graph(40), k1s(40)) == 1
 
     def test_c4(self):
         assert minimize(cycle_graph(4), C4) == 1
