@@ -78,11 +78,10 @@ def solve(req: SolveRequest) -> SolveResult:
     g = req.graph
     started = time.perf_counter()
     td = req.decomposition
-    stats: dict = {"pattern": pattern.name, "mode": req.mode, "n": g.n, "m": g.m}
+    stats: dict = {}
     if td is None:
         td = heuristic_td(g)
         stats["td_lower_bound"] = td.lower_bound
-        stats["td_proven_optimal"] = td.width == td.lower_bound
     stats["td_width"] = td.width
     ntd = make_nice(td, g)
 

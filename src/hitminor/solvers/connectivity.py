@@ -1,56 +1,73 @@
 """Connectivity-tracking solvers: deletion to C4-free and to paw-free graphs.
 
 Both run one pass of the rank-based dynamic program over a nice decomposition
-of the input.  The solution graph gains a universal vertex v0, so that
-"connected" means "reaches v0"; v0 is in no bag, it is implicit in every
-code.  Partial solutions carry a set of weighted partitions of the kept bag
-vertices plus v0 (their connectivity classes); a partition's weight counts
-the deleted vertices the partial solution has already forgotten, so each
-deletion is paid once, at its forget node.  Each key's set is a plain
-{code: weight} dict, combined by the set operations of `partitions`.  A
-code partitions the key's ground positions in bag order (the kept positions
-for C4, the forest positions for paw), followed by one last position for
-v0: entry i is the least position in i's block.  Bags are sorted, so
-position order is vertex-id order.  After every node each set that holds
-two or more codes is shrunk to a min-weight representative subset, which
-is what keeps the tables single-exponential in the bag size.  The answer
-is the least weight at the root, where every bag vertex is forgotten and
-v0 alone is left; with a budget, an entry is dropped as soon as its weight
-plus its key's deleted bag vertices exceeds it.
+of the input, on one table layout.  The solution graph gains a universal
+vertex v0, so that "connected" means "reaches v0"; v0 is in no bag, it is
+implicit in every code.  A key is (labels, redges, c).  A bag vertex's label
+is 0 if deleted, `_GROUND` if in the ground (every kept C4 vertex, and paw's
+forest part), and 1 + its degree (1..3) in paw's cycle part, as in the
+bounded-degree tables of `labeling.py`.  `redges` holds the ground bag edges
+that lie in a triangle, as vertex-id pairs that survive bag changes (empty
+for paw, whose forest has none), and c counts ground components (below).
 
-Each component of the solution takes one edge to v0, at the forget node of
-one of its vertices, so no v0-edge touches a bag vertex and no key records
-one.  A forgotten kept position leaves as it is, which needs another
-position in its block (else it could never reach v0), or takes its
-component's v0-edge first.
+Each key maps to a {code: weight} dict of partitions of the ground bag
+vertices plus v0 (their connectivity classes), combined by the set
+operations of `partitions`.  A code lists, for each ground position in bag
+order and then for v0, the least position in its block; bags are sorted, so
+position order is vertex-id order.  A weight counts the deleted vertices the
+partial solution has forgotten: each deletion is paid once, at its forget
+node.  After every node each set of two or more codes is shrunk to a
+min-weight representative subset, which keeps the tables single-exponential
+in the bag size.  The answer is the least weight at the root, where v0 alone
+is left; with a budget, an entry is dropped as soon as its weight plus its
+key's deleted bag vertices exceeds it.  Each component takes one edge to v0,
+at the forget node of one of its vertices, so no key records one: a
+forgotten ground position leaves as it is, which needs another position in
+its block, or takes its component's v0-edge first.
 
 Correctness rests on a counter rather than on local cycle checks: a kept
 graph whose blocks are edges and triangles (C4-free) with i vertices, j
-edges and l triangles has c = i - j + l components, and a kept forest part
-with i vertices and j edges has c = i - j; v0 and its edges count too.
-Each key carries that c, so the solution is connected exactly when c = 1
-at the root.  Any other cycle, a second v0-edge in one component included,
-leaves more components than c, and entries whose partition disagrees with
-c are dropped; the one local check left is that no edge lies in two
-triangles (a diamond keeps the count right).  Introduce reads the new
-vertex's bag neighbours from one row of the bag adjacency bitmasks the
-engine hands it, and a join subtracts once the bag vertices, edges and
-triangles both sides counted.
+edges and l triangles has c = i - j + l components, and a forest with i
+vertices and j edges has c = i - j; v0 and its edges count too.  So the
+solution is connected exactly when c = 1 at the root.  Any other cycle, a
+second v0-edge in one component included, leaves more components than c,
+and entries whose partition disagrees with c are dropped; the one local
+check left is that no edge lies in two triangles (a diamond keeps the count
+right).
+
+The two solvers share that filter (`finish`), one forget and one join; each
+supplies its introduce, which reads the new vertex's bag neighbours from
+the engine's bag adjacency bitmasks, and the labels that may not be
+forgotten.  A join pairs keys whose positions agree on their kind (deleted,
+cycle or ground), subtracts once the ground bag vertices, edges and
+triangles both sides counted, and merges cycle degrees by the bounded-degree
+merge rows (`degree_merge_row`).
 """
 
 from __future__ import annotations
 
+from functools import partial
+from operator import getitem
+
 from ..graph import Graph
-from ..partitions import (
-    drop_set,
-    glue_set,
-    meet_sets,
-    reduce_codes,
-    shift_set,
-    union_into,
-)
+from ..partitions import drop_set, glue_set, meet_sets, reduce_codes, shift_set, union_into
 from ..treedecomp import NiceTreeDecomposition
-from .engine import bits, insert_at, insert_bit, remove_at, remove_bit, run_dp
+from .engine import bits, degree_merge_row, insert_at, remove_at, run_dp
+
+_GROUND = 4
+# Each label's kind: deleted, cycle or ground.
+_KIND = (0, 1, 1, 1, _GROUND)
+# Paw's cycle labels of degree below 2: such a vertex may not be forgotten,
+# and only it may gain a cycle edge.
+_OPEN = (1, 2)
+# Merge rows at a cycle position, by its number of cycle bag neighbours
+# (at most its degree, 2); at any other position the left label stands.
+_DEGREE_MERGE = tuple(degree_merge_row(2, c) for c in range(3))
+_SAME = tuple((x,) * len(_KIND) for x in range(len(_KIND)))
+
+
+def _ground_mask(labels: tuple[int, ...]) -> int:
+    return sum(1 << p for p, x in enumerate(labels) if x == _GROUND)
 
 
 def _bag_counts(adj: list[int], mask: int) -> tuple[int, int]:
@@ -73,26 +90,75 @@ def _below(mask: int, pos: int) -> int:
     return (mask & ((1 << pos) - 1)).bit_count()
 
 
-def _forget_ground(out: dict, key: tuple, entries: dict, i: int) -> None:
-    """Forget ground position i of `entries` into out[key], whose key ends
-    with the count c: i leaves as it is, or first takes its component's
-    v0-edge (a meet with the block {i, v0}) under count c - 1.  If i's block
-    holds v0 already, that edge closes a cycle and `finish` drops the code."""
-    *rest, c = key
-    union_into(out, key, drop_set(entries, i))
-    n = len(next(iter(entries))) - 1
-    attached = meet_sets(entries, {tuple(range(n)) + (i,): 0})
-    union_into(out, (*rest, c - 1), drop_set(attached, i))
+def _forget(stay: tuple[int, ...], v: int, cpos: int, child: dict) -> dict:
+    """Drop position cpos, paying for a deletion; a label in `stay` may not
+    leave.  A ground position i leaves as it is, or first takes its
+    component's v0-edge (a meet with the block {i, v0}) under count c - 1;
+    if i's block holds v0 already, `finish` drops the cycle that closes."""
+    out: dict = {}
+    for (labels_c, redges, c), entries in child.items():
+        x = labels_c[cpos]
+        if x in stay:
+            continue
+        labels = remove_at(labels_c, cpos)
+        if x != _GROUND:
+            union_into(out, (labels, redges, c), entries if x else shift_set(entries, 1))
+            continue
+        if redges:
+            redges = frozenset(e for e in redges if v not in e)
+        i = labels_c[:cpos].count(_GROUND)
+        union_into(out, (labels, redges, c), drop_set(entries, i))
+        n = len(next(iter(entries))) - 1
+        attached = meet_sets(entries, {tuple(range(n)) + (i,): 0})
+        union_into(out, (labels, redges, c - 1), drop_set(attached, i))
+    return out
 
 
-def _dp(g, ntd, budget, stats, leaf_key, hooks, bag_deleted) -> int | None:
-    """Run the engine with one solver's introduce, forget and join `hooks`
-    from a leaf table holding `leaf_key`, and return the least weight
-    at the root, where `finish` leaves only connected (c == 1) entries.
-    Table keys end with the component count c and map to {code: weight}
-    dicts; a weight counts the deleted vertices the subtree has forgotten,
-    and the budget test adds the key's deleted bag vertices,
-    `bag_deleted(bag_size, key)`.  The leaf's one code is v0 alone."""
+def _join(adj: list[int], left: dict, right: dict) -> dict:
+    grouped: dict[tuple, tuple] = {}
+    for (labels, redges, c), entries in right.items():
+        kinds = tuple(map(_KIND.__getitem__, labels))
+        group = grouped.get(kinds)
+        if group is None:
+            # Ground bag vertices and v0, ground bag edges and triangles
+            # are counted by both sides.
+            ground = _ground_mask(kinds)
+            edges, tris = _bag_counts(adj, ground)
+            cycle = sum(1 << p for p, x in enumerate(kinds) if x == 1)
+            merge_rows = cycle and [
+                _DEGREE_MERGE[(adj[p] & cycle).bit_count()] if x == 1 else _SAME
+                for p, x in enumerate(kinds)
+            ]
+            shared_c = ground.bit_count() + 1 - edges + tris
+            group = grouped[kinds] = (shared_c, 3 * tris, merge_rows, [])
+        group[3].append((labels, redges, c, entries))
+    out: dict = {}
+    for (labels1, redges1, c1), entries1 in left.items():
+        group = grouped.get(tuple(map(_KIND.__getitem__, labels1)))
+        if group is None:
+            continue
+        shared_c, tri_edge_count, merge_rows, bucket = group
+        merge = merge_rows and list(map(getitem, merge_rows, labels1))
+        for labels2, redges2, c2, entries2 in bucket:
+            # Both sides hold every edge of the bag's triangles, which are
+            # edge-disjoint; any further shared edge would glue two
+            # triangles onto one edge.
+            if len(redges1 & redges2) != tri_edge_count:
+                continue
+            labels = labels1
+            if merge:
+                labels = tuple(map(getitem, merge, labels2))
+                if -1 in labels:
+                    continue
+            key = (labels, redges1 | redges2, c1 + c2 - shared_c)
+            union_into(out, key, meet_sets(entries1, entries2))
+    return out
+
+
+def _dp(g, ntd, budget, stats, introduce, stay) -> int | None:
+    """Run the engine with one solver's `introduce`, the shared leaf and
+    join and the forget that keeps labels in `stay`; return the least
+    weight at the root, where `finish` leaves only connected entries."""
     # No partial deletes more than all n vertices, so n is no bound.
     limit = g.n if budget is None else budget
     max_pset = 0
@@ -106,10 +172,9 @@ def _dp(g, ntd, budget, stats, leaf_key, hooks, bag_deleted) -> int | None:
         # reducing.  At the root every code is (0,), so only c == 1 stays.
         # This is the only cycle check; see the module docstring.
         nonlocal max_pset
-        bag_size = len(bag)
         for key, entries in list(table.items()):
-            want = key[-1]
-            room = limit - bag_deleted(bag_size, key)
+            labels, _, want = key
+            room = limit - labels.count(0)
             kept = {
                 code: w
                 for code, w in entries.items()
@@ -128,9 +193,10 @@ def _dp(g, ntd, budget, stats, leaf_key, hooks, bag_deleted) -> int | None:
             if len(kept) > max_pset:
                 max_pset = len(kept)
 
-    root_table = run_dp(
-        g, ntd, lambda: {leaf_key: {(0,): 0}}, *hooks, finish=finish, stats=stats
-    )
+    hooks = (introduce, partial(_forget, stay), _join)
+    # The leaf's one code is v0 alone.
+    leaf = {((), frozenset(), 1): {(0,): 0}}
+    root_table = run_dp(g, ntd, leaf.copy, *hooks, finish=finish, stats=stats)
     if stats is not None:
         stats["max_partition_set_size"] = max(
             stats.get("max_partition_set_size", 0), max_pset
@@ -142,13 +208,9 @@ def _dp(g, ntd, budget, stats, leaf_key, hooks, bag_deleted) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Deletion to C4-topological-minor-free.
-#
-# Key: (kept bag mask, edges currently in a triangle, component count
-# c = kept vertices + 1 - kept edges + kept triangles, where the 1 is v0 and
-# the edges include one v0-edge per component, taken at a forget node and
-# never at a bag vertex).  The edge set uses vertex-id pairs so it survives
-# bag changes untouched.
+# Deletion to C4-topological-minor-free: every kept vertex is ground, and
+# c = kept vertices + 1 (v0) - kept edges (one v0-edge per component
+# included) + kept triangles.
 
 
 def solve_c4(
@@ -168,97 +230,60 @@ def solve_c4(
 
 
 def _c4_pass(g, ntd, budget, stats) -> int | None:
-    hooks = (_c4_introduce, _c4_forget, _c4_join)
-    return _dp(g, ntd, budget, stats, (0, frozenset(), 1), hooks, _c4_bag_deleted)
+    return _dp(g, ntd, budget, stats, _c4_introduce, ())
 
 
-def _c4_bag_deleted(bag_size: int, key) -> int:
-    return bag_size - key[0].bit_count()
+def _c4_growth(bag, adj: list[int], pos: int, kept: int):
+    """Keeping the vertex at `pos` next to the kept positions `kept`: None
+    for a diamond, else (edges put into triangles, change to c, ground
+    index, ground indices to glue)."""
+    v = bag[pos]
+    nbrs = adj[pos] & kept  # v's kept neighbours in g
+    nbr_pos = bits(nbrs)
+    # Each neighbour's partners among v's other neighbours.  Two partners
+    # would put edge vq into two new triangles: a diamond.
+    partners = [adj[q] & nbrs for q in nbr_pos]
+    if any(m & (m - 1) for m in partners):
+        return None
+    new_tris: set[tuple[int, int]] = set()
+    for q, m in zip(nbr_pos, partners):
+        if m:
+            new_tris.add(_vedge(v, bag[q]))
+            new_tris.add(_vedge(bag[q], bag[m.bit_length() - 1]))
+    dc = 1 - len(nbr_pos) + sum(1 for m in partners if m) // 2
+    # Ground indices over the new kept mask; v0 follows them.
+    ground = kept | 1 << pos
+    i = _below(ground, pos)
+    return new_tris, dc, i, [_below(ground, q) for q in nbr_pos] + [i]
 
 
 def _c4_introduce(bag, adj: list[int], pos: int, child: dict) -> dict:
-    v = bag[pos]
-    bit = 1 << pos
     out: dict = {}
-    for (kept_c, redges, c), entries in child.items():
-        kept = insert_bit(kept_c, pos)
-        union_into(out, (kept, redges, c), entries)
-        # v's kept neighbours in g.
-        nbrs = adj[pos] & kept
-        nbr_pos = bits(nbrs)
-        # Each neighbour's partners among v's other neighbours.  Two
-        # partners would put edge vq into two new triangles: a diamond.
-        partners = [adj[q] & nbrs for q in nbr_pos]
-        if any(m & (m - 1) for m in partners):
+    # The new keys' labels and the kept vertex's growth depend only on the
+    # child labels, so each distinct label tuple builds them once.
+    views: dict = {}
+    for (labels_c, redges, c), entries in child.items():
+        view = views.get(labels_c)
+        if view is None:
+            deleted = insert_at(labels_c, pos, 0)
+            growth = _c4_growth(bag, adj, pos, _ground_mask(deleted))
+            view = views[labels_c] = (deleted, insert_at(labels_c, pos, _GROUND), growth)
+        deleted, grown, growth = view
+        union_into(out, (deleted, redges, c), entries)
+        if growth is None:
             continue
-        new_tris: set[tuple[int, int]] = set()
-        for q, m in zip(nbr_pos, partners):
-            if m:
-                new_tris.add(_vedge(v, bag[q]))
-                new_tris.add(_vedge(bag[q], bag[m.bit_length() - 1]))
+        new_tris, dc, i, glue = growth
         # An edge gaining a second triangle would form a diamond.
         if not redges.isdisjoint(new_tris):
             continue
-        redges_p = redges | new_tris
-        c_p = c + 1 - len(nbr_pos) + sum(1 for m in partners if m) // 2
-        # Ground indices over the new kept mask; v0 follows them.
-        ground = kept | bit
-        i = _below(ground, pos)
-        glue = [_below(ground, q) for q in nbr_pos] + [i]
-        union_into(out, (ground, redges_p, c_p), glue_set(entries, i, glue))
-    return out
-
-
-def _c4_forget(v: int, cpos: int, child: dict) -> dict:
-    out: dict = {}
-    for (kept_c, redges, c), entries in child.items():
-        kept = remove_bit(kept_c, cpos)
-        if not kept_c >> cpos & 1:
-            union_into(out, (kept, redges, c), shift_set(entries, 1))
-            continue
-        rem = frozenset(e for e in redges if v not in e)
-        _forget_ground(out, (kept, rem, c), entries, _below(kept_c, cpos))
-    return out
-
-
-def _c4_join(adj: list[int], left: dict, right: dict) -> dict:
-    grouped: dict[int, tuple[int, int, list]] = {}
-    for (kept, redges, c), entries in right.items():
-        group = grouped.get(kept)
-        if group is None:
-            # Bag vertices and v0, bag edges and triangles are counted by
-            # both sides.
-            edges, tris = _bag_counts(adj, kept)
-            shared_c = kept.bit_count() + 1 - edges + tris
-            group = grouped[kept] = (shared_c, 3 * tris, [])
-        group[2].append((redges, c, entries))
-    out: dict = {}
-    for (kept, redges1, c1), entries1 in left.items():
-        group = grouped.get(kept)
-        if group is None:
-            continue
-        shared_c, tri_edge_count, bucket = group
-        for redges2, c2, entries2 in bucket:
-            # Both sides hold every edge of the bag's triangles, which are
-            # edge-disjoint; any further shared edge would glue two
-            # triangles onto one edge.
-            if len(redges1 & redges2) != tri_edge_count:
-                continue
-            key = (kept, redges1 | redges2, c1 + c2 - shared_c)
-            union_into(out, key, meet_sets(entries1, entries2))
+        union_into(out, (grown, redges | new_tris, c + dc), glue_set(entries, i, glue))
     return out
 
 
 # ---------------------------------------------------------------------------
-# Deletion to paw-topological-minor-free.
-#
-# Per-vertex labels: 0 deleted, 1 forest part, 2/3/4 cycle part with current
-# internal degree 0/1/2.  Key: (labels, forest component count c = forest
-# vertices + 1 - forest edges, where the 1 is v0, which is in the forest
-# part, and the edges include one v0-edge per component, taken at a forget
-# node and never at a bag vertex).
-
-_DEL, _FOREST, _CYC0, _CYC1, _CYC2 = range(5)
+# Deletion to paw-topological-minor-free: the forest part is the ground, so
+# c = forest vertices + 1 (v0) - forest edges (one v0-edge per component
+# included), and cycle vertices are labelled 1 + their cycle degree.
 
 
 def solve_paw(
@@ -271,108 +296,36 @@ def solve_paw(
     return _paw_pass(g, ntd, budget, stats)
 
 
-def _forest_mask(labels: tuple[int, ...]) -> int:
-    return sum(1 << p for p, x in enumerate(labels) if x == _FOREST)
-
-
 def _paw_pass(g, ntd, budget, stats) -> int | None:
-    hooks = (_paw_introduce, _paw_forget, _paw_join)
-    return _dp(g, ntd, budget, stats, ((), 1), hooks, _paw_bag_deleted)
-
-
-def _paw_bag_deleted(bag_size: int, key) -> int:
-    return key[0].count(_DEL)
+    return _dp(g, ntd, budget, stats, _paw_introduce, _OPEN)
 
 
 def _paw_introduce(bag, adj: list[int], pos: int, child: dict) -> dict:
     nbr_pos = bits(adj[pos])
     plain_nbrs = [q if q < pos else q - 1 for q in nbr_pos]
     out: dict = {}
-    for (labels_c, c), entries in child.items():
-        union_into(out, (insert_at(labels_c, pos, _DEL), c), entries)
-
-        forest_adjacent = [q for q in plain_nbrs if labels_c[q] == _FOREST]
-        cycle_adjacent = [q for q in plain_nbrs if labels_c[q] >= _CYC0]
-
+    for (labels_c, redges, c), entries in child.items():
+        union_into(out, (insert_at(labels_c, pos, 0), redges, c), entries)
+        forest_adjacent = [q for q in plain_nbrs if labels_c[q] == _GROUND]
+        cycle_adjacent = [q for q in plain_nbrs if 0 < labels_c[q] < _GROUND]
         # Forest case: no plain edge may run into the cycle part.
         if not cycle_adjacent:
-            labels = insert_at(labels_c, pos, _FOREST)
+            labels = insert_at(labels_c, pos, _GROUND)
             # Ground indices over the forest positions; v0 follows them.
-            i = labels[:pos].count(_FOREST)
-            nbrs = [labels[:q].count(_FOREST) for q in nbr_pos if labels[q] == _FOREST]
-            key = (labels, c + 1 - len(nbrs))
+            i = labels[:pos].count(_GROUND)
+            nbrs = [labels[:q].count(_GROUND) for q in nbr_pos if labels[q] == _GROUND]
+            key = (labels, redges, c + 1 - len(nbrs))
             union_into(out, key, glue_set(entries, i, nbrs + [i]))
 
-        # Cycle case: neighbors already in the cycle part gain one degree.
+        # Cycle case: neighbours already in the cycle part gain one degree.
         if (
             not forest_adjacent
             and len(cycle_adjacent) <= 2
-            and all(labels_c[q] in (_CYC0, _CYC1) for q in cycle_adjacent)
+            and all(labels_c[q] in _OPEN for q in cycle_adjacent)
         ):
             upd = list(labels_c)
             for q in cycle_adjacent:
                 upd[q] += 1
-            labels = insert_at(
-                tuple(upd), pos, _CYC0 + len(cycle_adjacent)
-            )
-            union_into(out, (labels, c), entries)
-    return out
-
-
-def _paw_forget(v: int, cpos: int, child: dict) -> dict:
-    out: dict = {}
-    for (labels_c, c), entries in child.items():
-        label = labels_c[cpos]
-        if label in (_CYC0, _CYC1):
-            continue  # a cycle vertex leaves the bag only once closed
-        labels = remove_at(labels_c, cpos)
-        if label == _FOREST:
-            i = labels_c[:cpos].count(_FOREST)
-            _forget_ground(out, (labels, c), entries, i)
-            continue
-        if label == _DEL:
-            entries = shift_set(entries, 1)
-        union_into(out, (labels, c), entries)
-    return out
-
-
-def _paw_join(adj: list[int], left: dict, right: dict) -> dict:
-
-    def kind_key(labels: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(min(x, _CYC0) for x in labels)
-
-    grouped: dict[tuple, tuple[int, list]] = {}
-    for (labels, c), entries in right.items():
-        kinds = kind_key(labels)
-        group = grouped.get(kinds)
-        if group is None:
-            # Bag forest vertices and v0, and bag forest edges are counted by
-            # both sides.
-            forest = _forest_mask(kinds)
-            shared_c = forest.bit_count() + 1 - _bag_counts(adj, forest)[0]
-            group = grouped[kinds] = (shared_c, [])
-        group[1].append((labels, c, entries))
-    out: dict = {}
-    for (labels1, c1), entries1 in left.items():
-        group = grouped.get(kind_key(labels1))
-        if group is None:
-            continue
-        shared_c, bucket = group
-        cyc_positions = [p for p, x in enumerate(labels1) if x >= _CYC0]
-        cyc_mask = sum(1 << p for p in cyc_positions)
-        for labels2, c2, entries2 in bucket:
-            merged = list(labels1)
-            ok = True
-            for p in cyc_positions:
-                # Cycle edges inside the bag are seen by both children.
-                shared = (adj[p] & cyc_mask).bit_count()
-                z = (labels1[p] - _CYC0) + (labels2[p] - _CYC0) - shared
-                if not 0 <= z <= 2:
-                    ok = False
-                    break
-                merged[p] = _CYC0 + z
-            if not ok:
-                continue
-            key = (tuple(merged), c1 + c2 - shared_c)
-            union_into(out, key, meet_sets(entries1, entries2))
+            labels = insert_at(tuple(upd), pos, 1 + len(cycle_adjacent))
+            union_into(out, (labels, redges, c), entries)
     return out

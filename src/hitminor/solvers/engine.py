@@ -42,16 +42,29 @@ def remove_at(labels: tuple, pos: int) -> tuple:
     return labels[:pos] + labels[pos + 1 :]
 
 
-def insert_bit(mask: int, pos: int) -> int:
-    """`insert_at` for bitmasks: a zero bit enters at `pos`."""
-    low = mask & ((1 << pos) - 1)
-    return low | ((mask >> pos) << (pos + 1))
+def degree_merge_row(d: int, c: int) -> tuple:
+    """Join merge rows for labels 0 (deleted) and 1 + degree (at most d) at
+    a vertex with c kept bag neighbours, which both sides count: a and b
+    join to a + b - 1 - c if that is at most d + 1, else to -1."""
+    # A kept label a is at least 1 + c; b = 1, 2, ... joins to a - c, a - c + 1, ...
+    kept = ((-1, *range(a - c, d + 2), *(-1,) * (a - c - 1)) for a in range(1, d + 2))
+    return ((0,) + (-1,) * (d + 1), *kept)
 
 
 def remove_bit(mask: int, pos: int) -> int:
     """`remove_at` for bitmasks: bit `pos` leaves."""
     low = mask & ((1 << pos) - 1)
     return low | ((mask >> (pos + 1)) << pos)
+
+
+def check_bags(g: Graph, ntd: NiceTreeDecomposition) -> None:
+    """Raise ValueError if a bag of `ntd` holds a vertex outside g."""
+    for t, bag in enumerate(ntd.bags):
+        if bag and bag[-1] >= g.n:  # bags are sorted: bag[-1] is the largest
+            raise ValueError(
+                f"bag at node {t} holds vertex {bag[-1]}, which is not in"
+                f" the {g.n}-vertex graph"
+            )
 
 
 def run_dp(
@@ -75,6 +88,7 @@ def run_dp(
     `stats["max_table_size"]`, and the number of entries stored over all
     nodes is added to `stats["table_entries"]`.
     """
+    check_bags(g, ntd)
     tables: list[dict | None] = [None] * len(ntd)
     max_table = 0
     entries = 0
@@ -82,12 +96,6 @@ def run_dp(
         kind = ntd.kinds[t]
         kids = ntd.children[t]
         bag = ntd.bags[t]
-        # Bags are sorted, so the last vertex is the largest.
-        if bag and bag[-1] >= g.n:
-            raise ValueError(
-                f"bag at node {t} holds vertex {bag[-1]}, which is not in"
-                f" the {g.n}-vertex graph"
-            )
         if kind == LEAF:
             table = leaf()
         elif kind == INTRODUCE:

@@ -5,10 +5,11 @@ degree one and `solve_p3` is the degree-1 case of `solve_bdd`.
 Each table maps a tuple of per-bag-vertex labels to the smallest number of
 deleted vertices the subtree has already forgotten, among partial solutions
 realizing those labels on the subtree graph; missing keys mean "infeasible".
-Label 0 means deleted in every label table (P4, bounded degree, paw).  Both
-solvers share one forget, which pays each deletion once, when its vertex is
-forgotten, and one table-driven join, which adds the two counts; each
-solver supplies only the join's per-position key and merge rows.
+Label 0 means deleted in every table, and a kept vertex of bounded degree
+(or of paw's cycle part) is labelled 1 + its degree (`degree_merge_row`).
+Both solvers here share one forget, which pays each deletion once, when its
+vertex is forgotten, and one table-driven join, which adds the two counts;
+each solver supplies only the join's per-position key and merge rows.
 
 P4 uses six labels: deleted, ISO (kept with no kept neighbour yet, its role
 still open), star leaf, star centre, open triangle vertex and completed
@@ -30,7 +31,9 @@ from operator import getitem
 
 from ..graph import Graph
 from ..treedecomp import NiceTreeDecomposition
-from .engine import bits, insert_at, remove_at, remove_bit, run_dp
+from .engine import (
+    bits, check_bags, degree_merge_row, insert_at, remove_at, remove_bit, run_dp
+)
 
 Table = dict[tuple[int, ...], int]
 
@@ -190,7 +193,8 @@ def _p4_introduce(bag, adj: list[int], pos: int, child: Table) -> Table:
 # ---------------------------------------------------------------------------
 # Deletion to maximum degree d.
 #
-# Labels: 0 deleted, 1 + the current degree (0..d) of a kept vertex.
+# Labels: 0 deleted, 1 + the current degree (0..d) of a kept vertex.  Paw's
+# cycle part uses the same labels with d = 2 (`connectivity.py`).
 
 
 def solve_bdd(
@@ -202,8 +206,14 @@ def solve_bdd(
     """Minimum deletions so every remaining vertex has degree at most d."""
     if d < 0:
         raise ValueError("maximum degree must be non-negative")
-    # Labels never exceed 1 + the maximum degree, so the join's rows stop there.
-    rows_of = _bdd_rows(min(d, g.max_degree()))
+    if d >= g.max_degree():
+        # No degree bound can bind, so nothing need be deleted.
+        check_bags(g, ntd)
+        if stats is not None:
+            stats.setdefault("max_table_size", 0)
+            stats.setdefault("table_entries", 0)
+        return 0
+    rows_of = _bdd_rows(d)
     hooks = (partial(_bdd_introduce, d), partial(_forget, None), partial(_join, rows_of))
     return run_dp(g, ntd, _leaf, *hooks, bound=d + 2, stats=stats)[()]
 
@@ -225,17 +235,11 @@ def _bdd_introduce(d: int, bag, adj: list[int], pos: int, child: Table) -> Table
 
 
 def _bdd_rows(d: int):
-    """The join's `rows_of` for degree bound d.  Bag edges are present in
-    both children, so both count a kept vertex's c kept bag neighbours:
-    labels a and b join to a + b - 1 - c if that is at most d + 1.  Each
-    c's merge row is built once per solve, when a join first needs it."""
+    """The join's `rows_of` for degree bound d: every kept label keys alike,
+    and a vertex with c kept bag neighbours merges by `degree_merge_row(d,
+    c)`, built once per solve, when a join first needs it."""
     key = (0,) + (1,) * (d + 1)
-
-    @cache
-    def merge_row(c: int) -> tuple:
-        # A kept label a is at least 1 + c; b = 1, 2, ... joins to a - c, a - c + 1, ...
-        kept = ((-1, *range(a - c, d + 2), *(-1,) * (a - c - 1)) for a in range(1, d + 2))
-        return ((0,) + (-1,) * (d + 1), *kept)
+    merge_row = cache(partial(degree_merge_row, d))
 
     def rows_of(counts: list[int]) -> tuple[list, list]:
         return [key] * len(counts), list(map(merge_row, counts))

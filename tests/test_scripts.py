@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -57,3 +58,28 @@ def test_demos_run():
         assert done.returncode == 0, (name, done.stderr)
         if name == "partition_algebra":
             assert "opt preserved for all 15 demands: True" in done.stdout
+
+
+# SHA-256 of the answer lines (every line but the '#' table-size lines) of
+# scripts/answer_snapshot.py, each ending in a newline.
+ANSWERS_SHA256 = "5b6e44ef5d94a451a97c4a4c3a2001da186c479c561ee33b7ae34bc828114ee3"
+
+
+def test_answer_snapshot_answers_are_pinned():
+    """Every answer of the snapshot stays as pinned: exact minima above the
+    oracle's guard (the 3x12 grid, G(18, 0.3), the 2/3/4x40 grids) and the
+    values C4 and paw return under a budget included.  The '#' lines, table
+    sizes a change may legitimately alter, are left out."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "answer_snapshot.py")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    answers = [line for line in done.stdout.splitlines() if not line.startswith("#")]
+    assert len(answers) == 1284
+    digest = hashlib.sha256("".join(f"{line}\n" for line in answers).encode())
+    assert digest.hexdigest() == ANSWERS_SHA256

@@ -68,6 +68,11 @@ class TestKnownAnswers:
         assert minimize(star_graph(3), k1s(10_000)) == 0
         assert minimize(star_graph(40), k1s(10**9)) == 0
         assert minimize(star_graph(40), k1s(40)) == 1
+        # With d = s - 1 at least the maximum degree no bound can bind, so
+        # the DP is skipped: a 1,000-leaf star stores no table.
+        res = solve(SolveRequest(graph=star_graph(1000), pattern=k1s(1001)))
+        assert res.answer == 0
+        assert res.stats["max_table_size"] == res.stats["table_entries"] == 0
 
     def test_c4(self):
         assert minimize(cycle_graph(4), C4) == 1
@@ -309,21 +314,20 @@ class TestPipelines:
         assert stats["max_partition_set_size"] >= 1
 
     def test_decomposition_lower_bound_reported(self):
-        """A solve that builds its own decomposition reports the MMD+ bound
-        and whether it meets the width; a supplied one reports neither."""
+        """A solve that builds its own decomposition reports the MMD+ bound,
+        which proves the width optimal where they meet; a supplied one
+        reports none."""
         stats = solve(SolveRequest(graph=grid_graph(4, 10), pattern=P4)).stats
         assert stats["td_width"] == stats["td_lower_bound"] == 4
-        assert stats["td_proven_optimal"] is True
         # The 5 x n grids have treewidth 5; the bound stops at 4.
         stats = solve(SolveRequest(graph=grid_graph(5, 10), pattern=P4)).stats
         assert (stats["td_width"], stats["td_lower_bound"]) == (5, 4)
-        assert stats["td_proven_optimal"] is False
+        assert stats["td_width"] > stats["td_lower_bound"]
         g = cycle_graph(6)
         again = solve(SolveRequest(graph=g, pattern=P4)).stats
-        assert again["td_lower_bound"] == 2 and again["td_proven_optimal"] is True
+        assert again["td_width"] == again["td_lower_bound"] == 2
         supplied = solve(SolveRequest(graph=g, pattern=P4, decomposition=heuristic_td(g)))
         assert "td_lower_bound" not in supplied.stats
-        assert "td_proven_optimal" not in supplied.stats
 
     @pytest.mark.parametrize("pattern", SOLVER_PATTERNS, ids=lambda p: p.name)
     def test_table_entries_counted_and_repeatable(self, pattern):
@@ -434,28 +438,44 @@ def _stored_tables(monkeypatch, solver, g):
 
 class TestDeadKeysStayAbsent:
     """The component count at `finish` is the solvers' only cycle check;
-    these confirm no key with a bad bag view survives it."""
+    these confirm no key with a bad bag view survives it.  Both solvers key
+    their tables by (labels, redges, c), and the ground positions are those
+    labelled `_GROUND`."""
 
     def test_c4_tables_only_hold_viable_bag_views(self, monkeypatch):
+        from hitminor.solvers.connectivity import _GROUND, _ground_mask
+
         rng = random.Random(14)
         for _ in range(6):
             g = random_graph(7, 0.45, rng)
             for bag, table in _stored_tables(monkeypatch, solve_c4, g):
-                for (kept, _, _), wps in table.items():
+                for (labels, _, _), wps in table.items():
+                    # Every C4 vertex is deleted or ground.
+                    assert set(labels) <= {0, _GROUND}
+                    kept = _ground_mask(labels)
                     assert c4_condition(_bag_view(g, bag, kept))
                     assert len(wps) <= 1 << kept.bit_count()
 
     def test_paw_forest_parts_stay_forests(self, monkeypatch):
-        from hitminor.solvers.connectivity import _forest_mask
+        from hitminor.solvers.connectivity import _GROUND, _ground_mask
 
         rng = random.Random(15)
         for _ in range(6):
             g = random_graph(7, 0.45, rng)
             for bag, table in _stored_tables(monkeypatch, solve_paw, g):
-                for (labels, _), wps in table.items():
-                    view = _bag_view(g, bag, _forest_mask(labels))
+                for (labels, redges, _), wps in table.items():
+                    # A forest has no triangle to record.
+                    assert redges == frozenset()
+                    forest = _ground_mask(labels)
+                    view = _bag_view(g, bag, forest)
                     assert view.m == view.n - len(connected_components(view))
-                    assert len(wps) <= 1 << _forest_mask(labels).bit_count()
+                    assert len(wps) <= 1 << forest.bit_count()
+                    # A cycle label is 1 + a degree of at most 2 that
+                    # counts every cycle bag neighbour.
+                    cycle = [p for p, x in enumerate(labels) if 0 < x < _GROUND]
+                    for p in cycle:
+                        nbrs = sum(g.has_edge(bag[p], bag[q]) for q in cycle)
+                        assert 1 + nbrs <= labels[p] <= 3
 
 
 class TestPruningStrength:
