@@ -1,4 +1,5 @@
-"""The one dynamic-programming traversal shared by every table solver.
+"""The one dynamic-programming traversal shared by every table solver, and
+the packed-key codec of the label tables.
 
 A solver supplies a table per node kind: `leaf()`, `introduce(bag, adj,
 pos, child)` with `pos` the introduced vertex's position in `bag`,
@@ -8,7 +9,20 @@ adjacency (`bag_adjacency`), built once per introduce and join node.  Nodes
 are visited in the post-order of the nice decomposition (Cygan et al.,
 *Parameterized Algorithms*, §7.3), and a child's table is dropped as soon as
 its parent's is built, so at most one table per pending join branch is
-alive.  Tables are dicts keyed by per-solver labels.
+alive.  Tables are dicts keyed by per-solver labels: C4 and paw key by
+tuples (`insert_at`, `remove_at`), the label tables by packed ints.
+
+A label table keys an entry by one int: bag position p's label is the
+field of `width` bits at bit width·p, and label 0 (deleted) is an all-zero
+field, so the empty bag's key is 0.  `get_field`, `insert_field` and
+`remove_field` read, insert and drop one field; a bitmask of bag positions
+is the width-1 case, and `spread` widens one into a key with label 1 at
+each of its positions.  A solver that keeps its labels below 2^(width-2)
+leaves the top bit of each field, the guard bit, free: adding a constant
+per field then sets a field's guard bit exactly when its label passes a
+threshold, so one addition and one mask test every field at once.  The
+solvers' per-entry loops inline these shifts, since a call per key costs
+about a third of a forget.
 """
 
 from __future__ import annotations
@@ -20,8 +34,17 @@ from ..treedecomp import FORGET, INTRODUCE, LEAF, NiceTreeDecomposition
 def bag_adjacency(g: Graph, bag: tuple[int, ...]) -> list[int]:
     """For each bag position, the bitmask of the positions of its neighbours
     in g."""
-    index = {v: i for i, v in enumerate(bag)}
-    return [sum(1 << index[w] for w in g.neighbors(v) if w in index) for v in bag]
+    rows = []
+    # One membership test per pair of bag vertices: a hub costs no more
+    # than any other vertex.
+    for v in bag:
+        nbrs = g.neighbors(v)
+        row = 0
+        for i, w in enumerate(bag):
+            if w in nbrs:
+                row |= 1 << i
+        rows.append(row)
+    return rows
 
 
 def bits(mask: int) -> list[int]:
@@ -42,6 +65,32 @@ def remove_at(labels: tuple, pos: int) -> tuple:
     return labels[:pos] + labels[pos + 1 :]
 
 
+def get_field(key: int, pos: int, width: int) -> int:
+    """The label at bag position `pos` of a key packed `width` bits per
+    position."""
+    return key >> width * pos & ((1 << width) - 1)
+
+
+def insert_field(key: int, pos: int, value: int, width: int) -> int:
+    """`key` with a field holding `value` inserted at `pos`; the fields from
+    `pos` on move up one position."""
+    shift = width * pos
+    return key & ((1 << shift) - 1) | value << shift | (key >> shift) << shift + width
+
+
+def remove_field(key: int, pos: int, width: int) -> int:
+    """`key` without the field at `pos`; the fields above it move down one
+    position."""
+    shift = width * pos
+    return key & ((1 << shift) - 1) | (key >> shift + width) << shift
+
+
+def spread(mask: int, width: int) -> int:
+    """The key with label 1 at each position of the bitmask `mask`, and 0
+    elsewhere."""
+    return sum(1 << width * p for p in bits(mask))
+
+
 def degree_merge_row(d: int, c: int) -> tuple:
     """Join merge rows for labels 0 (deleted) and 1 + degree (at most d) at
     a vertex with c kept bag neighbours, which both sides count: a and b
@@ -49,12 +98,6 @@ def degree_merge_row(d: int, c: int) -> tuple:
     # A kept label a is at least 1 + c; b = 1, 2, ... joins to a - c, a - c + 1, ...
     kept = ((-1, *range(a - c, d + 2), *(-1,) * (a - c - 1)) for a in range(1, d + 2))
     return ((0,) + (-1,) * (d + 1), *kept)
-
-
-def remove_bit(mask: int, pos: int) -> int:
-    """`remove_at` for bitmasks: bit `pos` leaves."""
-    low = mask & ((1 << pos) - 1)
-    return low | ((mask >> (pos + 1)) << pos)
 
 
 def check_bags(g: Graph, ntd: NiceTreeDecomposition) -> None:

@@ -2,14 +2,19 @@
 bounded degree.  P3 is the star K1,2, so its free graphs are those of maximum
 degree one and `solve_p3` is the degree-1 case of `solve_bdd`.
 
-Each table maps a tuple of per-bag-vertex labels to the smallest number of
-deleted vertices the subtree has already forgotten, among partial solutions
-realizing those labels on the subtree graph; missing keys mean "infeasible".
-Label 0 means deleted in every table, and a kept vertex of bounded degree
-(or of paw's cycle part) is labelled 1 + its degree (`degree_merge_row`).
-Both solvers here share one forget, which pays each deletion once, when its
-vertex is forgotten, and one table-driven join, which adds the two counts;
-each solver supplies only the join's per-position key and merge rows.
+Each table maps a key, the labels of the bag vertices packed into one int
+(`engine.get_field`), to the smallest number of deleted vertices the subtree
+has already forgotten, among partial solutions realizing those labels on the
+subtree graph; missing keys mean "infeasible".  Bag position p's label is
+the field of B bits at bit B·p.  Label 0 means deleted in every table, and
+a kept vertex of bounded degree d (or of paw's cycle part) is labelled
+1 + its degree, in fields of B = (d + 1).bit_length() + 2 bits: a label is
+at most d + 1 < 2^(B-2), so two labels add without a carry into the next
+field, and the field's top bit is a guard bit that one addition per field
+sets exactly where a label passes a threshold.  P4's six labels take B = 3.
+Both solvers share one forget, which drops a field with a shift and a mask
+and pays each deletion once, when its vertex is forgotten; each join adds
+the two counts.
 
 P4 uses six labels: deleted, ISO (kept with no kept neighbour yet, its role
 still open), star leaf, star centre, open triangle vertex and completed
@@ -26,70 +31,58 @@ bitmasks the engine hands them; the solvers bind their parts with `partial`.
 
 from __future__ import annotations
 
-from functools import cache, partial
-from operator import getitem
+from functools import partial
 
 from ..graph import Graph
 from ..treedecomp import NiceTreeDecomposition
-from .engine import (
-    bits, check_bags, degree_merge_row, insert_at, remove_at, remove_bit, run_dp
-)
+from .engine import bits, check_bags, get_field, run_dp, spread
 
-Table = dict[tuple[int, ...], int]
+Table = dict[int, int]
 
 
-def _min_put(table: Table, key: tuple[int, ...], value: int) -> None:
+def _min_put(table: Table, key: int, value: int) -> None:
     prev = table.get(key)
     if prev is None or value < prev:
         table[key] = value
 
 
 def _leaf() -> Table:
-    return {(): 0}
+    return {0: 0}
 
 
-def _forget(stay: int | None, v: int, cpos: int, child: Table) -> Table:
-    """Drop position cpos, paying for a deletion; label `stay` may not leave."""
+def _forget(width: int, stay: int | None, v: int, cpos: int, child: Table) -> Table:
+    """Drop position cpos's field (`remove_field`, inlined), paying for a
+    deletion; label `stay` may not leave."""
+    shift = width * cpos
+    low = (1 << shift) - 1
+    field = (1 << width) - 1
     out: Table = {}
-    for labels, r in child.items():
-        x = labels[cpos]
+    for key, r in child.items():
+        x = key >> shift & field
         if x == stay:
             continue
-        _min_put(out, remove_at(labels, cpos), r + (not x))
+        key = key & low | (key >> shift + width) << shift
+        r += not x
+        prev = out.get(key)
+        if prev is None or r < prev:
+            out[key] = r
     return out
 
 
-def _join(rows_of, adj: list[int], left: Table, right: Table) -> Table:
-    """`rows_of(counts)` maps each position's number of kept bag neighbours
-    to its key row and its merge row (merge[a][b]: the joined label, or -1).
-    The counts depend only on the deleted positions, so each deletion mask's
-    rows are built once."""
-    rows_by_mask: dict[tuple[bool, ...], tuple[list, list]] = {}
+def _group(table: Table, kept) -> dict[int, list[tuple[int, int]]]:
+    """The table's entries grouped by `kept(key)`, a mask of their kept
+    fields."""
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for key, r in table.items():
+        groups.setdefault(kept(key), []).append((key, r))
+    return groups
 
-    def rows_for(labels: tuple[int, ...]) -> tuple[list, list]:
-        kept = tuple(map(bool, labels))  # 0, deleted, is the only falsy label
-        rows = rows_by_mask.get(kept)
-        if rows is None:
-            mask = sum(1 << i for i, k in enumerate(kept) if k)
-            rows = rows_by_mask[kept] = rows_of([(row & mask).bit_count() for row in adj])
-        return rows
 
-    by_key: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    for labels, r in right.items():
-        key_rows = rows_for(labels)[0]
-        by_key.setdefault(tuple(map(getitem, key_rows, labels)), []).append((labels, r))
-    out: Table = {}
-    for labels1, r1 in left.items():
-        key_rows, merge_rows = rows_for(labels1)
-        bucket = by_key.get(tuple(map(getitem, key_rows, labels1)))
-        if bucket is None:
-            continue
-        merge = list(map(getitem, merge_rows, labels1))
-        for labels2, r2 in bucket:
-            merged = tuple(map(getitem, merge, labels2))
-            if -1 not in merged:
-                _min_put(out, merged, r1 + r2)
-    return out
+def _kept_counts(adj: list[int], kept: int, width: int) -> list[tuple[int, int]]:
+    """(p, c) for each position p whose field is nonzero in `kept`, c its
+    number of such bag neighbours."""
+    mask = sum(1 << p for p in range(len(adj)) if get_field(kept, p, width))
+    return [(p, (adj[p] & mask).bit_count()) for p in bits(mask)]
 
 
 # ---------------------------------------------------------------------------
@@ -108,85 +101,138 @@ def _join(rows_of, adj: list[int], left: Table, right: Table) -> Table:
 #   TRI_OPEN  triangle vertex whose one kept neighbour is the other TRI_OPEN
 #             vertex of the bag; it is never forgotten;
 #   TRI_DONE  vertex of a completed triangle.
+#
+# A vertex with a kept bag neighbour is never ISO, and its role (LEAF,
+# CENTER, or TRI_OPEN/TRI_DONE, 0b100 and 0b101) is the same on both sides of
+# a join, so the joined label is the bitwise or of the two.
 
 _P4_DEL, _P4_ISO, _P4_LEAF, _P4_CENTER, _P4_TRI_OPEN, _P4_TRI_DONE = range(6)
-
-# Join keys.  A kept vertex with no kept bag neighbour has grown, on each
-# side, only from that side's forgotten vertices, so its key says just
-# "kept".  One with a kept bag neighbour plays the same role on both sides:
-# its key is the role (leaf, centre or triangle vertex).
-_P4_JOIN_KEY = ((0, 1, 1, 1, 1, 1), (0, 1, 2, 3, 4, 4))
-
-
-def _p4_merge_rows(bag_nbrs: int) -> tuple[tuple[int, ...], ...]:
-    """rows[a][b]: the joined label of a kept vertex labelled a on the left
-    and b on the right, or -1, by its number of kept bag neighbours (capped
-    at 2).  Two leaves must share their centre, so it must be in the bag;
-    two completed triangles must be the same, so two of its vertices must
-    be the vertex's kept bag neighbours."""
-    rows = [[-1] * 6 for _ in range(6)]
-    rows[_P4_DEL][_P4_DEL] = _P4_DEL
-    rows[_P4_CENTER][_P4_CENTER] = _P4_CENTER
-    if bag_nbrs == 0:
-        for x in range(_P4_ISO, 6):
-            rows[_P4_ISO][x] = rows[x][_P4_ISO] = x
-    else:
-        rows[_P4_LEAF][_P4_LEAF] = _P4_LEAF
-        rows[_P4_TRI_OPEN][_P4_TRI_OPEN] = _P4_TRI_OPEN
-        rows[_P4_TRI_OPEN][_P4_TRI_DONE] = rows[_P4_TRI_DONE][_P4_TRI_OPEN] = _P4_TRI_DONE
-        if bag_nbrs == 2:
-            rows[_P4_TRI_DONE][_P4_TRI_DONE] = _P4_TRI_DONE
-    return tuple(map(tuple, rows))
-
-
-_P4_MERGE = tuple(_p4_merge_rows(c) for c in range(3))
+_P4_WIDTH = 3
 
 
 def solve_p4(g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None) -> int:
     """Minimum deletions so every component is a triangle or a star."""
-    hooks = (_p4_introduce, partial(_forget, _P4_TRI_OPEN), partial(_join, _p4_rows))
-    return run_dp(g, ntd, _leaf, *hooks, bound=6, stats=stats)[()]
-
-
-def _p4_rows(counts: list[int]) -> tuple[list, list]:
-    return [_P4_JOIN_KEY[c > 0] for c in counts], [_P4_MERGE[min(c, 2)] for c in counts]
+    hooks = (_p4_introduce, partial(_forget, _P4_WIDTH, _P4_TRI_OPEN), _p4_join)
+    return run_dp(g, ntd, _leaf, *hooks, bound=6, stats=stats)[0]
 
 
 def _p4_introduce(bag, adj: list[int], pos: int, child: Table) -> Table:
-    child_nbrs = bits(remove_bit(adj[pos], pos))
-    # For each child position, the bitmask of its child-position neighbors.
-    rows = [remove_bit(row, pos) for q, row in enumerate(adj) if q != pos]
+    shift = _P4_WIDTH * pos
+    low = (1 << shift) - 1
+    nbrs = bits(adj[pos])
+    ones = spread(adj[pos], _P4_WIDTH)
+    # The neighbours' fields, and their bits above ISO's.
+    fields, roles = ones * 0b111, ones * 0b110
+    centers = {_P4_CENTER << _P4_WIDTH * u for u in nbrs}
+    open_pairs = {
+        (_P4_TRI_OPEN << _P4_WIDTH * u) + (_P4_TRI_OPEN << _P4_WIDTH * w)
+        for u in nbrs
+        for w in bits(adj[u] & adj[pos])
+        if u < w
+    }
+    iso, leaf, center, tri_open, tri_done = (
+        x << shift for x in (_P4_ISO, _P4_LEAF, _P4_CENTER, _P4_TRI_OPEN, _P4_TRI_DONE)
+    )
     out: Table = {}
-    for labels, r in child.items():
+    for key, r in child.items():
+        key = key & low | (key >> shift) << shift + _P4_WIDTH  # `insert_field`, DEL
         # Only this entry yields keys with the new vertex DEL or ISO.
-        out[insert_at(labels, pos, _P4_DEL)] = r
-        kept = [p for p in child_nbrs if labels[p] != _P4_DEL]
-        if not kept:
-            out[insert_at(labels, pos, _P4_ISO)] = r
+        out[key] = r
+        y = key & fields
+        if not y:
+            out[key | iso] = r
+        elif not y & roles:
+            # Every kept neighbour is ISO (y has a 1 in each of their
+            # fields): a new star centre adopts them all as leaves.
+            _min_put(out, key + y + center, r)
+            if not y & (y - 1):
+                # The first edge may also make the new vertex a leaf of
+                # its one kept neighbour, or open a triangle with it.
+                _min_put(out, key + 2 * y + leaf, r)
+                _min_put(out, key + 3 * y + tri_open, r)
+        elif y in centers:
+            # The one kept neighbour is a star centre.
+            _min_put(out, key + leaf, r)
+        elif y in open_pairs:
+            # Two adjacent TRI_OPEN neighbours, and no other kept one.
+            _min_put(out, key + (y >> 2) + tri_done, r)
+    return out
+
+
+def _p4_join(adj: list[int], left: Table, right: Table) -> Table:
+    """Pair entries with the same deleted positions and the same role at
+    every position with a kept bag neighbour (TRI_DONE keys as TRI_OPEN).
+    A role position joins to the bitwise or of its labels, but two
+    completed triangles must be the same one, so TRI_DONE on both sides
+    needs two kept bag neighbours; the other kept positions join through
+    `_p4_free_merge`, memoized per join."""
+    ones = spread((1 << len(adj)) - 1, _P4_WIDTH)
+
+    def kept(key: int) -> int:
+        return (key | key >> 1 | key >> 2) & ones
+
+    groups2 = _group(right, kept)
+    free_memo: dict[tuple[int, int], int] = {}
+    out: Table = {}
+    for mask, entries1 in _group(left, kept).items():
+        entries2 = groups2.get(mask)
+        if entries2 is None:
             continue
-        if all(labels[p] == _P4_ISO for p in kept):
-            # A new star center adopts them all as leaves.
-            upd = list(labels)
-            for p in kept:
-                upd[p] = _P4_LEAF
-            _min_put(out, insert_at(tuple(upd), pos, _P4_CENTER), r)
-            if len(kept) == 1:
-                # The first edge may also make the new vertex a leaf, or
-                # open a triangle.
-                u = kept[0]
-                upd[u] = _P4_CENTER
-                _min_put(out, insert_at(tuple(upd), pos, _P4_LEAF), r)
-                upd[u] = _P4_TRI_OPEN
-                _min_put(out, insert_at(tuple(upd), pos, _P4_TRI_OPEN), r)
-        elif len(kept) == 1:
-            if labels[kept[0]] == _P4_CENTER:
-                _min_put(out, insert_at(labels, pos, _P4_LEAF), r)
-        elif len(kept) == 2:
-            u, w = kept
-            if labels[u] == labels[w] == _P4_TRI_OPEN and rows[u] >> w & 1:
-                upd = list(labels)
-                upd[u] = upd[w] = _P4_TRI_DONE
-                _min_put(out, insert_at(tuple(upd), pos, _P4_TRI_DONE), r)
+        roles = free = single = 0
+        for p, c in _kept_counts(adj, mask, _P4_WIDTH):
+            if c:
+                roles |= 0b111 << _P4_WIDTH * p
+                single |= (c == 1) << _P4_WIDTH * p
+            else:
+                free |= 0b111 << _P4_WIDTH * p
+        # A key's roles, with TRI_DONE's low bit cleared: key & roles & ~done.
+        role_bits = roles & ones
+        by_role: dict[int, list[tuple[int, int]]] = {}
+        for key2, r2 in entries2:
+            by_role.setdefault(key2 & roles & ~(key2 >> 2 & role_bits), []).append((key2, r2))
+        for key1, r1 in entries1:
+            bucket = by_role.get(key1 & roles & ~(key1 >> 2 & role_bits))
+            if bucket is None:
+                continue
+            free1 = key1 & free
+            for key2, r2 in bucket:
+                both = key1 & key2
+                if both & both >> 2 & single:
+                    continue
+                key = (key1 | key2) & roles
+                if free:
+                    pair = (free1, key2 & free)
+                    merged = free_memo.get(pair)
+                    if merged is None:
+                        merged = free_memo[pair] = _p4_free_merge(*pair)
+                    if merged < 0:
+                        continue
+                    key |= merged
+                r = r1 + r2
+                prev = out.get(key)
+                if prev is None or r < prev:
+                    out[key] = r
+    return out
+
+
+def _p4_free_merge(a: int, b: int) -> int:
+    """The joined fields at the kept positions without a kept bag neighbour,
+    given each side's fields there (0 elsewhere), or -1.  There each side's
+    star or triangle grew only from its own forgotten vertices, so one side
+    must be ISO, or both star centres."""
+    out = shift = 0
+    while a:
+        x, y = a & 0b111, b & 0b111
+        if x == _P4_ISO or x == _P4_DEL:
+            z = y
+        elif y == _P4_ISO or x == y == _P4_CENTER:
+            z = x
+        else:
+            return -1
+        out |= z << shift
+        a >>= _P4_WIDTH
+        b >>= _P4_WIDTH
+        shift += _P4_WIDTH
     return out
 
 
@@ -213,38 +259,71 @@ def solve_bdd(
             stats.setdefault("max_table_size", 0)
             stats.setdefault("table_entries", 0)
         return 0
-    rows_of = _bdd_rows(d)
-    hooks = (partial(_bdd_introduce, d), partial(_forget, None), partial(_join, rows_of))
-    return run_dp(g, ntd, _leaf, *hooks, bound=d + 2, stats=stats)[()]
+    width = (d + 1).bit_length() + 2
+    hooks = (
+        partial(_bdd_introduce, d, width),
+        partial(_forget, width, None),
+        partial(_bdd_join, d, width),
+    )
+    return run_dp(g, ntd, _leaf, *hooks, bound=d + 2, stats=stats)[0]
 
 
-def _bdd_introduce(d: int, bag, adj: list[int], pos: int, child: Table) -> Table:
-    child_nbrs = bits(remove_bit(adj[pos], pos))
+def _bdd_introduce(d: int, width: int, bag, adj: list[int], pos: int, child: Table) -> Table:
+    shift = width * pos
+    low = (1 << shift) - 1
+    ones = spread(adj[pos], width)
+    fields = ones * ((1 << width) - 1)
+    guard = ones << width - 1
+    # Added to the neighbours' fields, these set the guard bit of a kept
+    # one, and of one already at degree d.
+    kept_fill = ones * ((1 << width - 1) - 1)
+    full_fill = ones * ((1 << width - 1) - 1 - d)
     out: Table = {}
-    for labels, r in child.items():
+    for key, r in child.items():
+        key = key & low | (key >> shift) << shift + width  # `insert_field`, deleted
         # Only this entry yields the key with the new vertex deleted.
-        out[insert_at(labels, pos, 0)] = r
-        kept = [p for p in child_nbrs if labels[p]]
-        if len(kept) > d or any(labels[p] > d for p in kept):
+        out[key] = r
+        y = key & fields
+        if (y + full_fill) & guard:
             continue
-        upd = list(labels)
-        for p in kept:
-            upd[p] += 1
-        _min_put(out, insert_at(tuple(upd), pos, 1 + len(kept)), r)
+        kept = ((y + kept_fill) & guard) >> width - 1
+        c = kept.bit_count()
+        if c <= d:
+            # Each kept neighbour gains a degree; no other entry yields this key.
+            out[key + kept + ((1 + c) << shift)] = r
     return out
 
 
-def _bdd_rows(d: int):
-    """The join's `rows_of` for degree bound d: every kept label keys alike,
-    and a vertex with c kept bag neighbours merges by `degree_merge_row(d,
-    c)`, built once per solve, when a join first needs it."""
-    key = (0,) + (1,) * (d + 1)
-    merge_row = cache(partial(degree_merge_row, d))
+def _bdd_join(d: int, width: int, adj: list[int], left: Table, right: Table) -> Table:
+    """Pair entries with the same deleted positions.  Both sides count a
+    kept vertex's c kept bag neighbours, so labels a and b join to
+    a + b - 1 - c, which must stay at most d + 1."""
+    ones = spread((1 << len(adj)) - 1, width)
+    guard = ones << width - 1
+    kept_fill = ones * ((1 << width - 1) - 1)
+    over_fill = ones * ((1 << width - 1) - 2 - d)
 
-    def rows_of(counts: list[int]) -> tuple[list, list]:
-        return [key] * len(counts), list(map(merge_row, counts))
+    def kept(key: int) -> int:
+        return (key + kept_fill) & guard
 
-    return rows_of
+    groups2 = _group(right, kept)
+    out: Table = {}
+    for mask, entries1 in _group(left, kept).items():
+        entries2 = groups2.get(mask)
+        if entries2 is None:
+            continue
+        shared = sum((1 + c) << width * p for p, c in _kept_counts(adj, mask, width))
+        for key1, r1 in entries1:
+            base = key1 - shared
+            for key2, r2 in entries2:
+                key = base + key2
+                if (key + over_fill) & guard:
+                    continue
+                r = r1 + r2
+                prev = out.get(key)
+                if prev is None or r < prev:
+                    out[key] = r
+    return out
 
 
 def solve_p3(g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None) -> int:

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -41,6 +42,37 @@ def test_ab_bench_failure_line_sums_each_side():
     change = [{"failed": 2, "attempted": 100}, {"correct": False, "metrics": {}}]
     line = ab.failure_line(parent, change)
     assert line == "failed/attempted: parent 1/199 (0.005025), change 2/100 (0.02)"
+
+
+def test_ab_bench_writes_one_summary_per_workload(tmp_path):
+    ab = load("ab_bench")
+    metrics = [{"name": "instances_per_s", "better": "higher"}]
+
+    def run(rate, failed=0):
+        return {"correct": True, "failed": failed, "attempted": 50,
+                "metrics": {"instances_per_s": {"value": rate}}}
+
+    out = tmp_path / "bench.json"
+    parent = [run(10), run(12, failed=1), run(11)]
+    change = [run(20), run(30), run(11)]
+    ab.write_summary(out, "sparse-large", "abc123", metrics, parent, change)
+    ab.write_summary(out, "rank-mid", "abc123", metrics, [run(4)], [run(2)])
+    doc = json.loads(out.read_text())
+    assert doc["schema"] == "hitminor.ab_bench.v1"
+    assert sorted(doc["workloads"]) == ["rank-mid", "sparse-large"]
+    sparse = doc["workloads"]["sparse-large"]
+    assert (sparse["parent"], sparse["pairs"], sparse["seconds"]) == ("abc123", 3, ab.SECONDS)
+    assert sparse["metrics"]["instances_per_s"] == {
+        "parent_median": 11, "change_median": 20, "parent_iqr": 2,
+        "ratio_median": 2.0, "better": 2, "pairs": 3,
+    }
+    assert sparse["queries"] == {
+        "parent": {"failed": 1, "attempted": 150},
+        "change": {"failed": 0, "attempted": 150},
+    }
+    # One pair has no interquartile range.
+    rank = doc["workloads"]["rank-mid"]["metrics"]["instances_per_s"]
+    assert (rank["parent_iqr"], rank["ratio_median"], rank["better"]) == (None, 0.5, 0)
 
 
 def test_demos_run():

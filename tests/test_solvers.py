@@ -286,10 +286,14 @@ class TestPipelines:
         # decompositions add joins at full and partial bags.
         _check_join_heavy(P4, decide=False)
 
-    @pytest.mark.parametrize("pattern", [P3, k1s(3), k1s(4)], ids=lambda p: p.name)
+    @pytest.mark.parametrize(
+        "pattern", [P3, k1s(3), k1s(4), k1s(5), k1s(8)], ids=lambda p: p.name
+    )
     def test_bounded_degree_on_join_heavy_decompositions(self, pattern):
         # A join subtracts a vertex's kept bag neighbours, counted on both
-        # sides, and drops a pair whose summed degree exceeds the bound.
+        # sides, and drops a pair whose summed degree exceeds the bound by
+        # one guard-bit test per key.  K1,5 and K1,8 take 5- and 6-bit
+        # fields, and the graphs here reach degree 9.
         _check_join_heavy(pattern, decide=False)
 
     @pytest.mark.parametrize("pattern", [C4, PAW], ids=lambda p: p.name)
