@@ -225,9 +225,9 @@ def cmd_bench(args) -> int:
                 verify=args.verify,
                 with_time=args.timings,
             )
-        except (FormatError, GuardError) as exc:
-            # A malformed file or an instance over a size guard fails only
-            # itself.
+        except (FormatError, GuardError, OSError) as exc:
+            # A malformed or unreadable file, or an instance over a size
+            # guard, fails only itself.
             failures.add(EXIT_GUARD if isinstance(exc, GuardError) else EXIT_FORMAT)
             record = {"schema": REPORT_SCHEMA, "input": path.stem, "error": str(exc)}
             print(json.dumps(record, sort_keys=True))

@@ -232,12 +232,15 @@ def read_gr(path_or_stream) -> Graph:
     """Read a .gr file path, file object, or '-' for stdin."""
     import sys
 
-    if path_or_stream == "-":
-        return parse_gr(sys.stdin.read())
-    if hasattr(path_or_stream, "read"):
-        return parse_gr(path_or_stream.read())
-    with open(path_or_stream, "r", encoding="utf-8") as fh:
-        return parse_gr(fh.read())
+    try:
+        if path_or_stream == "-":
+            return parse_gr(sys.stdin.read())
+        if hasattr(path_or_stream, "read"):
+            return parse_gr(path_or_stream.read())
+        with open(path_or_stream, "r", encoding="utf-8") as fh:
+            return parse_gr(fh.read())
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc}") from exc
 
 
 def grid_graph(width: int, height: int) -> Graph:

@@ -3,12 +3,15 @@
 Both run one pass of the rank-based dynamic program over a nice decomposition
 of the input, on one table layout.  The solution graph gains a universal
 vertex v0, so that "connected" means "reaches v0"; v0 is in no bag, it is
-implicit in every code.  A key is (labels, redges, c).  A bag vertex's label
-is 0 if deleted, `_GROUND` if in the ground (every kept C4 vertex, and paw's
-forest part), and 1 + its degree (1..3) in paw's cycle part, as in the
-bounded-degree tables of `labeling.py`.  `redges` holds the ground bag edges
-that lie in a triangle, as vertex-id pairs that survive bag changes (empty
-for paw, whose forest has none), and c counts ground components (below).
+implicit in every code.  A key is (labels, redges, c), the labels packed by
+the engine's codec in fields of `_W` = 4 bits, the bounded-degree width for
+d = 2.  A bag vertex's label is 0 if deleted, 1 + its degree (1..3) in
+paw's cycle part, as in the bounded-degree tables of `labeling.py`, and
+`_GROUND` = 4, the only label with bit 2 set, if in the ground (every kept
+C4 vertex, and paw's forest part); field sums stay below 16, so keys add
+with no carry.  `redges` holds the ground bag edges that lie in a triangle,
+as vertex-id pairs that survive bag changes (empty for paw, whose forest
+has none), and c counts ground components (below).
 
 Each key maps to a {code: weight} dict of partitions of the ground bag
 vertices plus v0 (their connectivity classes), combined by the set
@@ -39,35 +42,29 @@ The two solvers share that filter (`finish`), one forget and one join; each
 supplies its introduce, which reads the new vertex's bag neighbours from
 the engine's bag adjacency bitmasks, and the labels that may not be
 forgotten.  A join pairs keys whose positions agree on their kind (deleted,
-cycle or ground), subtracts once the ground bag vertices, edges and
-triangles both sides counted, and merges cycle degrees by the bounded-degree
-merge rows (`degree_merge_row`).
+cycle or ground), adds them, subtracts once what both sides counted, as the
+bounded-degree join does, and rejects a cycle degree above 2 with one
+guard-bit test.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from operator import getitem
 
 from ..graph import Graph
 from ..partitions import drop_set, glue_set, meet_sets, reduce_codes, shift_set, union_into
 from ..treedecomp import NiceTreeDecomposition
-from .engine import bits, degree_merge_row, insert_at, remove_at, run_dp
+from .engine import bits, field_mask, guard_fills, kept_counts, run_dp, spread
 
+_W = 4
 _GROUND = 4
-# Each label's kind: deleted, cycle or ground.
-_KIND = (0, 1, 1, 1, _GROUND)
-# Paw's cycle labels of degree below 2: such a vertex may not be forgotten,
-# and only it may gain a cycle edge.
+# Paw's cycle labels of degree below 2, which may not be forgotten.
 _OPEN = (1, 2)
-# Merge rows at a cycle position, by its number of cycle bag neighbours
-# (at most its degree, 2); at any other position the left label stands.
-_DEGREE_MERGE = tuple(degree_merge_row(2, c) for c in range(3))
-_SAME = tuple((x,) * len(_KIND) for x in range(len(_KIND)))
 
 
-def _ground_mask(labels: tuple[int, ...]) -> int:
-    return sum(1 << p for p, x in enumerate(labels) if x == _GROUND)
+def _ground_bits(n: int) -> int:
+    """Bit 2 of each of the first n fields: a key's ground fields."""
+    return spread((1 << n) - 1, _W) << 2
 
 
 def _bag_counts(adj: list[int], mask: int) -> tuple[int, int]:
@@ -85,72 +82,72 @@ def _vedge(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def _below(mask: int, pos: int) -> int:
-    """Index of bag position `pos` among the ground positions in `mask`."""
-    return (mask & ((1 << pos) - 1)).bit_count()
-
-
 def _forget(stay: tuple[int, ...], v: int, cpos: int, child: dict) -> dict:
-    """Drop position cpos, paying for a deletion; a label in `stay` may not
-    leave.  A ground position i leaves as it is, or first takes its
-    component's v0-edge (a meet with the block {i, v0}) under count c - 1;
-    if i's block holds v0 already, `finish` drops the cycle that closes."""
+    """Drop position cpos's field (`remove_field`, inlined), paying for a
+    deletion; a label in `stay` may not leave.  A ground position i leaves
+    as it is, or first takes its component's v0-edge (a meet with the block
+    {i, v0}) under count c - 1; if i's block holds v0 already, `finish`
+    drops the cycle that closes."""
+    shift = _W * cpos
+    low = (1 << shift) - 1
+    # The ground bits below cpos: their count is cpos's ground index.
+    below = _ground_bits(cpos)
     out: dict = {}
-    for (labels_c, redges, c), entries in child.items():
-        x = labels_c[cpos]
+    for (key_c, redges, c), entries in child.items():
+        x = key_c >> shift & 0b1111
         if x in stay:
             continue
-        labels = remove_at(labels_c, cpos)
+        key = key_c & low | (key_c >> shift + _W) << shift
         if x != _GROUND:
-            union_into(out, (labels, redges, c), entries if x else shift_set(entries, 1))
+            union_into(out, (key, redges, c), entries if x else shift_set(entries, 1))
             continue
         if redges:
             redges = frozenset(e for e in redges if v not in e)
-        i = labels_c[:cpos].count(_GROUND)
-        union_into(out, (labels, redges, c), drop_set(entries, i))
+        i = (key_c & below).bit_count()
+        union_into(out, (key, redges, c), drop_set(entries, i))
         n = len(next(iter(entries))) - 1
         attached = meet_sets(entries, {tuple(range(n)) + (i,): 0})
-        union_into(out, (labels, redges, c - 1), drop_set(attached, i))
+        union_into(out, (key, redges, c - 1), drop_set(attached, i))
     return out
 
 
 def _join(adj: list[int], left: dict, right: dict) -> dict:
-    grouped: dict[tuple, tuple] = {}
-    for (labels, redges, c), entries in right.items():
-        kinds = tuple(map(_KIND.__getitem__, labels))
+    ground_bits = _ground_bits(len(adj))
+    ones = ground_bits >> 2
+    guard = ones << _W - 1
+    # A key's kinds: 4 in a ground field, 1 in a cycle field, 0 if deleted.
+    grouped: dict[int, tuple] = {}
+    for (key, redges, c), entries in right.items():
+        kinds = key & ground_bits | (key | key >> 1) & ones
         group = grouped.get(kinds)
         if group is None:
-            # Ground bag vertices and v0, ground bag edges and triangles
-            # are counted by both sides.
-            ground = _ground_mask(kinds)
+            # Both sides count the ground labels, bag vertices and v0, edges
+            # and triangles, and at a cycle position its 1 and its cycle
+            # bag neighbours.
+            ground = field_mask(kinds & ground_bits, _W)
             edges, tris = _bag_counts(adj, ground)
-            cycle = sum(1 << p for p, x in enumerate(kinds) if x == 1)
-            merge_rows = cycle and [
-                _DEGREE_MERGE[(adj[p] & cycle).bit_count()] if x == 1 else _SAME
-                for p, x in enumerate(kinds)
-            ]
+            shared = kinds + sum(m << _W * p for p, m in kept_counts(adj, kinds & ones, _W))
             shared_c = ground.bit_count() + 1 - edges + tris
-            group = grouped[kinds] = (shared_c, 3 * tris, merge_rows, [])
-        group[3].append((labels, redges, c, entries))
+            # 4 more sets a cycle field's guard bit where its degree passes 2.
+            group = grouped[kinds] = (shared, (kinds & ones) << 2, shared_c, 3 * tris, [])
+        group[4].append((key, redges, c, entries))
     out: dict = {}
-    for (labels1, redges1, c1), entries1 in left.items():
-        group = grouped.get(tuple(map(_KIND.__getitem__, labels1)))
+    for (key1, redges1, c1), entries1 in left.items():
+        group = grouped.get(key1 & ground_bits | (key1 | key1 >> 1) & ones)
         if group is None:
             continue
-        shared_c, tri_edge_count, merge_rows, bucket = group
-        merge = merge_rows and list(map(getitem, merge_rows, labels1))
-        for labels2, redges2, c2, entries2 in bucket:
+        shared, over, shared_c, tri_edge_count, bucket = group
+        base = key1 - shared
+        for key2, redges2, c2, entries2 in bucket:
             # Both sides hold every edge of the bag's triangles, which are
             # edge-disjoint; any further shared edge would glue two
             # triangles onto one edge.
             if len(redges1 & redges2) != tri_edge_count:
                 continue
-            labels = labels1
-            if merge:
-                labels = tuple(map(getitem, merge, labels2))
-                if -1 in labels:
-                    continue
-            key = (labels, redges1 | redges2, c1 + c2 - shared_c)
+            key = base + key2
+            if (key + over) & guard:
+                continue
+            key = (key, redges1 | redges2, c1 + c2 - shared_c)
             union_into(out, key, meet_sets(entries1, entries2))
     return out
 
@@ -172,9 +169,10 @@ def _dp(g, ntd, budget, stats, introduce, stay) -> int | None:
         # reducing.  At the root every code is (0,), so only c == 1 stays.
         # This is the only cycle check; see the module docstring.
         nonlocal max_pset
+        ones = _ground_bits(len(bag)) >> 2
         for key, entries in list(table.items()):
-            labels, _, want = key
-            room = limit - labels.count(0)
+            packed, _, want = key
+            room = limit - len(bag) + ((packed | packed >> 1 | packed >> 2) & ones).bit_count()
             kept = {
                 code: w
                 for code, w in entries.items()
@@ -195,7 +193,7 @@ def _dp(g, ntd, budget, stats, introduce, stay) -> int | None:
 
     hooks = (introduce, partial(_forget, stay), _join)
     # The leaf's one code is v0 alone.
-    leaf = {((), frozenset(), 1): {(0,): 0}}
+    leaf = {(0, frozenset(), 1): {(0,): 0}}
     root_table = run_dp(g, ntd, leaf.copy, *hooks, finish=finish, stats=stats)
     if stats is not None:
         stats["max_partition_set_size"] = max(
@@ -253,21 +251,23 @@ def _c4_growth(bag, adj: list[int], pos: int, kept: int):
     dc = 1 - len(nbr_pos) + sum(1 for m in partners if m) // 2
     # Ground indices over the new kept mask; v0 follows them.
     ground = kept | 1 << pos
-    i = _below(ground, pos)
-    return new_tris, dc, i, [_below(ground, q) for q in nbr_pos] + [i]
+    i, *glue = [(ground & ((1 << q) - 1)).bit_count() for q in (pos, *nbr_pos)]
+    return new_tris, dc, i, glue + [i]
 
 
 def _c4_introduce(bag, adj: list[int], pos: int, child: dict) -> dict:
+    shift = _W * pos
+    low = (1 << shift) - 1
     out: dict = {}
-    # The new keys' labels and the kept vertex's growth depend only on the
-    # child labels, so each distinct label tuple builds them once.
+    # The new keys and the kept vertex's growth depend only on the child's
+    # packed labels, so each distinct one builds them once.
     views: dict = {}
-    for (labels_c, redges, c), entries in child.items():
-        view = views.get(labels_c)
+    for (key_c, redges, c), entries in child.items():
+        view = views.get(key_c)
         if view is None:
-            deleted = insert_at(labels_c, pos, 0)
-            growth = _c4_growth(bag, adj, pos, _ground_mask(deleted))
-            view = views[labels_c] = (deleted, insert_at(labels_c, pos, _GROUND), growth)
+            deleted = key_c & low | (key_c >> shift) << shift + _W  # `insert_field`, 0
+            growth = _c4_growth(bag, adj, pos, field_mask(deleted, _W))
+            view = views[key_c] = (deleted, deleted | _GROUND << shift, growth)
         deleted, grown, growth = view
         union_into(out, (deleted, redges, c), entries)
         if growth is None:
@@ -301,31 +301,34 @@ def _paw_pass(g, ntd, budget, stats) -> int | None:
 
 
 def _paw_introduce(bag, adj: list[int], pos: int, child: dict) -> dict:
-    nbr_pos = bits(adj[pos])
-    plain_nbrs = [q if q < pos else q - 1 for q in nbr_pos]
+    shift = _W * pos
+    low = (1 << shift) - 1
+    ground_bits = _ground_bits(len(bag))
+    # The ground bits below a position count its ground index.
+    nbr_below = [(q, ground_bits & ((1 << _W * q) - 1)) for q in bits(adj[pos])]
+    # Added to the neighbours' fields, the fills set the guard bit of a kept
+    # one, and of one at cycle degree 2 or ground: those gain no cycle edge.
+    guard, kept_fill, full_fill = guard_fills(adj[pos], _W, 1, 3)
+    fields = guard | kept_fill
     out: dict = {}
-    for (labels_c, redges, c), entries in child.items():
-        union_into(out, (insert_at(labels_c, pos, 0), redges, c), entries)
-        forest_adjacent = [q for q in plain_nbrs if labels_c[q] == _GROUND]
-        cycle_adjacent = [q for q in plain_nbrs if 0 < labels_c[q] < _GROUND]
+    for (key, redges, c), entries in child.items():
+        key = key & low | (key >> shift) << shift + _W  # `insert_field`, 0
+        union_into(out, (key, redges, c), entries)
+        y = key & fields
         # Forest case: no plain edge may run into the cycle part.
-        if not cycle_adjacent:
-            labels = insert_at(labels_c, pos, _GROUND)
+        if not y & ~ground_bits:
+            grown = key | _GROUND << shift
+            i = (key & low & ground_bits).bit_count()
             # Ground indices over the forest positions; v0 follows them.
-            i = labels[:pos].count(_GROUND)
-            nbrs = [labels[:q].count(_GROUND) for q in nbr_pos if labels[q] == _GROUND]
-            key = (labels, redges, c + 1 - len(nbrs))
-            union_into(out, key, glue_set(entries, i, nbrs + [i]))
-
-        # Cycle case: neighbours already in the cycle part gain one degree.
-        if (
-            not forest_adjacent
-            and len(cycle_adjacent) <= 2
-            and all(labels_c[q] in _OPEN for q in cycle_adjacent)
-        ):
-            upd = list(labels_c)
-            for q in cycle_adjacent:
-                upd[q] += 1
-            labels = insert_at(tuple(upd), pos, 1 + len(cycle_adjacent))
-            union_into(out, (labels, redges, c), entries)
+            nbrs = [(grown & m).bit_count() for q, m in nbr_below if key >> _W * q & _GROUND]
+            key_f = (grown, redges, c + 1 - len(nbrs))
+            union_into(out, key_f, glue_set(entries, i, nbrs + [i]))
+        # Cycle case: neighbours already in the cycle part gain one degree,
+        # as in `labeling._bdd_introduce` with d = 2.
+        if (y + full_fill) & guard:
+            continue
+        kept = ((y + kept_fill) & guard) >> _W - 1
+        n_cycle = kept.bit_count()
+        if n_cycle <= 2:
+            union_into(out, (key + kept + ((1 + n_cycle) << shift), redges, c), entries)
     return out

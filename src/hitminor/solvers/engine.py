@@ -1,5 +1,5 @@
 """The one dynamic-programming traversal shared by every table solver, and
-the packed-key codec of the label tables.
+the packed-key codec of their labels.
 
 A solver supplies a table per node kind: `leaf()`, `introduce(bag, adj,
 pos, child)` with `pos` the introduced vertex's position in `bag`,
@@ -9,20 +9,22 @@ adjacency (`bag_adjacency`), built once per introduce and join node.  Nodes
 are visited in the post-order of the nice decomposition (Cygan et al.,
 *Parameterized Algorithms*, §7.3), and a child's table is dropped as soon as
 its parent's is built, so at most one table per pending join branch is
-alive.  Tables are dicts keyed by per-solver labels: C4 and paw key by
-tuples (`insert_at`, `remove_at`), the label tables by packed ints.
+alive.
 
-A label table keys an entry by one int: bag position p's label is the
-field of `width` bits at bit width·p, and label 0 (deleted) is an all-zero
-field, so the empty bag's key is 0.  `get_field`, `insert_field` and
-`remove_field` read, insert and drop one field; a bitmask of bag positions
-is the width-1 case, and `spread` widens one into a key with label 1 at
-each of its positions.  A solver that keeps its labels below 2^(width-2)
-leaves the top bit of each field, the guard bit, free: adding a constant
-per field then sets a field's guard bit exactly when its label passes a
-threshold, so one addition and one mask test every field at once.  The
-solvers' per-entry loops inline these shifts, since a call per key costs
-about a third of a forget.
+Every solver packs its bag vertices' labels into one int: bag position p's
+label is the field of `width` bits at bit width·p, and label 0 (deleted) is
+an all-zero field, so the empty bag's key is 0.  The label tables key an
+entry by that int, C4 and paw by (that int, triangle edges, component
+count).  `get_field`, `insert_field` and `remove_field` read, insert and
+drop one field; a bitmask of bag positions is the width-1 case, `spread`
+widens one into a key with label 1 at each of its positions, and
+`field_mask` narrows a key back to the bitmask of its nonzero fields.  A
+solver that keeps its labels below 2^(width-2) leaves the top bit of each
+field, the guard bit, free: adding a constant per field (`guard_fills`)
+then sets a field's guard bit exactly when its label passes a threshold,
+so one addition and one mask test every field at once.  The solvers'
+per-entry loops inline these shifts, since a call per key costs about a
+third of a forget.
 """
 
 from __future__ import annotations
@@ -57,14 +59,6 @@ def bits(mask: int) -> list[int]:
     return out
 
 
-def insert_at(labels: tuple, pos: int, value) -> tuple:
-    return labels[:pos] + (value,) + labels[pos:]
-
-
-def remove_at(labels: tuple, pos: int) -> tuple:
-    return labels[:pos] + labels[pos + 1 :]
-
-
 def get_field(key: int, pos: int, width: int) -> int:
     """The label at bag position `pos` of a key packed `width` bits per
     position."""
@@ -91,13 +85,25 @@ def spread(mask: int, width: int) -> int:
     return sum(1 << width * p for p in bits(mask))
 
 
-def degree_merge_row(d: int, c: int) -> tuple:
-    """Join merge rows for labels 0 (deleted) and 1 + degree (at most d) at
-    a vertex with c kept bag neighbours, which both sides count: a and b
-    join to a + b - 1 - c if that is at most d + 1, else to -1."""
-    # A kept label a is at least 1 + c; b = 1, 2, ... joins to a - c, a - c + 1, ...
-    kept = ((-1, *range(a - c, d + 2), *(-1,) * (a - c - 1)) for a in range(1, d + 2))
-    return ((0,) + (-1,) * (d + 1), *kept)
+def field_mask(key: int, width: int) -> int:
+    """The bitmask of the positions whose field in `key` is nonzero."""
+    return sum({1 << b // width for b in bits(key)})
+
+
+def kept_counts(adj: list[int], key: int, width: int) -> list[tuple[int, int]]:
+    """(p, c) for each position p whose field is nonzero in `key`, c its
+    number of such bag neighbours."""
+    mask = field_mask(key, width)
+    return [(p, (adj[p] & mask).bit_count()) for p in bits(mask)]
+
+
+def guard_fills(mask: int, width: int, *least: int) -> tuple[int, ...]:
+    """The guard bits of the fields at the positions in `mask`, then for
+    each t in `least` the constant whose addition sets a field's guard bit
+    exactly where its label (below 2^(width-1)) is at least t."""
+    ones = spread(mask, width)
+    top = 1 << width - 1
+    return (ones * top, *(ones * (top - t) for t in least))
 
 
 def check_bags(g: Graph, ntd: NiceTreeDecomposition) -> None:

@@ -35,7 +35,7 @@ from functools import partial
 
 from ..graph import Graph
 from ..treedecomp import NiceTreeDecomposition
-from .engine import bits, check_bags, get_field, run_dp, spread
+from .engine import bits, check_bags, guard_fills, kept_counts, run_dp, spread
 
 Table = dict[int, int]
 
@@ -76,13 +76,6 @@ def _group(table: Table, kept) -> dict[int, list[tuple[int, int]]]:
     for key, r in table.items():
         groups.setdefault(kept(key), []).append((key, r))
     return groups
-
-
-def _kept_counts(adj: list[int], kept: int, width: int) -> list[tuple[int, int]]:
-    """(p, c) for each position p whose field is nonzero in `kept`, c its
-    number of such bag neighbours."""
-    mask = sum(1 << p for p in range(len(adj)) if get_field(kept, p, width))
-    return [(p, (adj[p] & mask).bit_count()) for p in bits(mask)]
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +172,7 @@ def _p4_join(adj: list[int], left: Table, right: Table) -> Table:
         if entries2 is None:
             continue
         roles = free = single = 0
-        for p, c in _kept_counts(adj, mask, _P4_WIDTH):
+        for p, c in kept_counts(adj, mask, _P4_WIDTH):
             if c:
                 roles |= 0b111 << _P4_WIDTH * p
                 single |= (c == 1) << _P4_WIDTH * p
@@ -271,13 +264,10 @@ def solve_bdd(
 def _bdd_introduce(d: int, width: int, bag, adj: list[int], pos: int, child: Table) -> Table:
     shift = width * pos
     low = (1 << shift) - 1
-    ones = spread(adj[pos], width)
-    fields = ones * ((1 << width) - 1)
-    guard = ones << width - 1
-    # Added to the neighbours' fields, these set the guard bit of a kept
-    # one, and of one already at degree d.
-    kept_fill = ones * ((1 << width - 1) - 1)
-    full_fill = ones * ((1 << width - 1) - 1 - d)
+    # Added to the neighbours' fields, the fills set the guard bit of a
+    # kept one, and of one already at degree d.
+    guard, kept_fill, full_fill = guard_fills(adj[pos], width, 1, d + 1)
+    fields = guard | kept_fill
     out: Table = {}
     for key, r in child.items():
         key = key & low | (key >> shift) << shift + width  # `insert_field`, deleted
@@ -298,10 +288,7 @@ def _bdd_join(d: int, width: int, adj: list[int], left: Table, right: Table) -> 
     """Pair entries with the same deleted positions.  Both sides count a
     kept vertex's c kept bag neighbours, so labels a and b join to
     a + b - 1 - c, which must stay at most d + 1."""
-    ones = spread((1 << len(adj)) - 1, width)
-    guard = ones << width - 1
-    kept_fill = ones * ((1 << width - 1) - 1)
-    over_fill = ones * ((1 << width - 1) - 2 - d)
+    guard, kept_fill, over_fill = guard_fills((1 << len(adj)) - 1, width, 1, d + 2)
 
     def kept(key: int) -> int:
         return (key + kept_fill) & guard
@@ -312,7 +299,7 @@ def _bdd_join(d: int, width: int, adj: list[int], left: Table, right: Table) -> 
         entries2 = groups2.get(mask)
         if entries2 is None:
             continue
-        shared = sum((1 + c) << width * p for p, c in _kept_counts(adj, mask, width))
+        shared = sum((1 + c) << width * p for p, c in kept_counts(adj, mask, width))
         for key1, r1 in entries1:
             base = key1 - shared
             for key2, r2 in entries2:

@@ -177,6 +177,9 @@ class TestSolve:
         bad = tmp_path / "bad.gr"
         bad.write_text("not a graph\n")
         assert main(["solve", "--pattern", "p3", "--graph", str(bad)]) == EXIT_FORMAT
+        # A file that is not UTF-8 is malformed too, not a usage error.
+        bad.write_bytes("c caf\xe9\np tw 2 1\n1 2\n".encode("latin-1"))
+        assert main(["solve", "--pattern", "p3", "--graph", str(bad)]) == EXIT_FORMAT
 
     def test_missing_file(self):
         assert main(["solve", "--pattern", "p3", "--graph", "/nonexistent.gr"]) == EXIT_FORMAT
@@ -270,6 +273,21 @@ class TestBench:
         assert records[-1]["aggregate"] is True
         assert records[-1]["instances"] == 3
         assert "bad.gr" in captured.err
+
+    def test_unreadable_entries_fail_only_themselves(self, demo_dir, capsys):
+        # A file that is not UTF-8, and a directory the glob matches.
+        (demo_dir / "a_latin1.gr").write_bytes("c caf\xe9\np tw 2 1\n1 2\n".encode("latin-1"))
+        (demo_dir / "b_dir.gr").mkdir()
+        code = main(["bench", "--corpus", str(demo_dir), "--pattern", "p4"])
+        assert code == EXIT_FORMAT
+        captured = capsys.readouterr()
+        records = [json.loads(line) for line in captured.out.splitlines()]
+        assert [r["input"] for r in records[:-1]] == ["a_latin1", "b_dir", "c6", "k4", "p5"]
+        assert all(set(r) == {"schema", "input", "error"} for r in records[:2])
+        assert all("answer" in r for r in records[2:-1])
+        assert records[-1]["aggregate"] is True
+        assert records[-1]["instances"] == 3
+        assert "a_latin1.gr" in captured.err and "b_dir.gr" in captured.err
 
     def test_guarded_instance_fails_only_itself(self, demo_dir, capsys):
         # Chair is served by the oracle, which refuses 16 vertices.

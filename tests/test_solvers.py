@@ -31,6 +31,7 @@ from hitminor import (
 )
 from hitminor.graph import c4_condition, connected_components
 from hitminor.oracle import min_deletion_bruteforce
+from hitminor.solvers.engine import get_field
 
 from corpus import (
     atlas_classes,
@@ -443,34 +444,38 @@ def _stored_tables(monkeypatch, solver, g):
 class TestDeadKeysStayAbsent:
     """The component count at `finish` is the solvers' only cycle check;
     these confirm no key with a bad bag view survives it.  Both solvers key
-    their tables by (labels, redges, c), and the ground positions are those
-    labelled `_GROUND`."""
+    their tables by (labels, redges, c), the labels packed `_W` bits per
+    position, and the ground positions are those labelled `_GROUND`."""
 
     def test_c4_tables_only_hold_viable_bag_views(self, monkeypatch):
-        from hitminor.solvers.connectivity import _GROUND, _ground_mask
+        from hitminor.solvers.connectivity import _GROUND, _W
 
         rng = random.Random(14)
         for _ in range(6):
             g = random_graph(7, 0.45, rng)
             for bag, table in _stored_tables(monkeypatch, solve_c4, g):
-                for (labels, _, _), wps in table.items():
+                for (packed, _, _), wps in table.items():
+                    labels = [get_field(packed, p, _W) for p in range(len(bag))]
+                    assert packed >> _W * len(bag) == 0
                     # Every C4 vertex is deleted or ground.
                     assert set(labels) <= {0, _GROUND}
-                    kept = _ground_mask(labels)
+                    kept = _ground_mask(labels, _GROUND)
                     assert c4_condition(_bag_view(g, bag, kept))
                     assert len(wps) <= 1 << kept.bit_count()
 
     def test_paw_forest_parts_stay_forests(self, monkeypatch):
-        from hitminor.solvers.connectivity import _GROUND, _ground_mask
+        from hitminor.solvers.connectivity import _GROUND, _W
 
         rng = random.Random(15)
         for _ in range(6):
             g = random_graph(7, 0.45, rng)
             for bag, table in _stored_tables(monkeypatch, solve_paw, g):
-                for (labels, redges, _), wps in table.items():
+                for (packed, redges, _), wps in table.items():
+                    labels = [get_field(packed, p, _W) for p in range(len(bag))]
+                    assert packed >> _W * len(bag) == 0
                     # A forest has no triangle to record.
                     assert redges == frozenset()
-                    forest = _ground_mask(labels)
+                    forest = _ground_mask(labels, _GROUND)
                     view = _bag_view(g, bag, forest)
                     assert view.m == view.n - len(connected_components(view))
                     assert len(wps) <= 1 << forest.bit_count()
@@ -480,6 +485,10 @@ class TestDeadKeysStayAbsent:
                     for p in cycle:
                         nbrs = sum(g.has_edge(bag[p], bag[q]) for q in cycle)
                         assert 1 + nbrs <= labels[p] <= 3
+
+
+def _ground_mask(labels: list[int], ground: int) -> int:
+    return sum(1 << p for p, x in enumerate(labels) if x == ground)
 
 
 class TestPruningStrength:
