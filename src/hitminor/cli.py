@@ -310,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (FormatError, InvalidDecomposition) as exc:
+    except (FormatError, InvalidDecomposition, UnicodeDecodeError) as exc:
         # A supplied .td is validated only inside the solve's make_nice.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

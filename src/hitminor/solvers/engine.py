@@ -24,7 +24,7 @@ field, the guard bit, free: adding a constant per field (`guard_fills`)
 then sets a field's guard bit exactly when its label passes a threshold,
 so one addition and one mask test every field at once.  The solvers'
 per-entry loops inline these shifts, since a call per key costs about a
-third of a forget.
+third of a forget; the three field functions are the tests' reference.
 """
 
 from __future__ import annotations

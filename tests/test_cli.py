@@ -180,6 +180,13 @@ class TestSolve:
         # A file that is not UTF-8 is malformed too, not a usage error.
         bad.write_bytes("c caf\xe9\np tw 2 1\n1 2\n".encode("latin-1"))
         assert main(["solve", "--pattern", "p3", "--graph", str(bad)]) == EXIT_FORMAT
+        # So is a .td file that is not UTF-8.
+        good = tmp_path / "ok.gr"
+        good.write_text("p tw 2 1\n1 2\n")
+        td = tmp_path / "bad.td"
+        td.write_bytes("c caf\xe9\ns td 1 2 2\nb 1 1 2\n".encode("latin-1"))
+        code = main(["solve", "--pattern", "p3", "--graph", str(good), "--td", str(td)])
+        assert code == EXIT_FORMAT
 
     def test_missing_file(self):
         assert main(["solve", "--pattern", "p3", "--graph", "/nonexistent.gr"]) == EXIT_FORMAT
