@@ -6,11 +6,11 @@ solvers keeps every answer:
 
     PYTHONPATH=src python scripts/answer_snapshot.py > answers.txt
 
-P3, P4, K1,3 and K1,4 are solved in minimize mode only: their solvers run
-the same DP in decide mode and compare its minimum with k.  C4 and paw are
-solved in minimize mode, then decided through `solve_c4`/`solve_paw` with
-budget opt-1 and opt (the returned value, not just its truth, is printed),
-since their budget prunes tables.  Instances: 200 graphs G(n <= 14,
+P3, P4, K1,3 and K1,4 are solved in minimize mode only, although in decide
+mode their budget prunes tables too, as it does for every table solver.  C4
+and paw are solved in minimize mode, then decided through
+`solve_c4`/`solve_paw` with budget opt-1 and opt (the returned value, not
+just its truth, is printed).  Instances: 200 graphs G(n <= 14,
 p <= 0.6) drawn from `random.Random(2024)`, the ten frozen instances of the
 acceptance tests, the 3x12 grid and G(18, 0.3) drawn from `random.Random(7)`;
 the label solvers also get the 2x40, 3x40 and 4x40 grids.  Lines starting

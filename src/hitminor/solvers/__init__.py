@@ -2,9 +2,11 @@
 
 `solve` prepares the decomposition pipeline (heuristic unless one is
 supplied), dispatches to the right dynamic program, and reports per-run
-statistics.  The pipeline validates and makes the decomposition nice once,
-and every solver runs on that one nice form; C4 and paw keep their
-universal vertex implicit in their partition codes, not in the bags.  Chair
+statistics.  Decide mode passes its budget k to the solver, which returns
+None when the minimum exceeds k.  The pipeline validates and makes the
+decomposition nice once, and every solver runs on that one nice form; C4
+and paw keep their universal vertex implicit in their partition codes, not
+in the bags.  Chair
 and banner have no table solver here; they are served by the exhaustive
 oracle and requesting them raises.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..graph import Graph
 from ..patterns import Pattern, SOLVER_KINDS
@@ -37,11 +40,13 @@ __all__ = [
 ]
 
 
-def solve_k1s(g: Graph, ntd, s: int, stats: dict | None = None) -> int:
+def solve_k1s(
+    g: Graph, ntd, s: int, stats: dict | None = None, budget: int | None = None
+) -> int | None:
     """Star deletion: K1,s-TM-freeness is exactly maximum degree s - 1."""
     if s < 1:
         raise ValueError("star patterns need s >= 1")
-    return solve_bdd(g, ntd, s - 1, stats)
+    return solve_bdd(g, ntd, s - 1, stats, budget)
 
 
 @dataclass(frozen=True)
@@ -85,22 +90,11 @@ def solve(req: SolveRequest) -> SolveResult:
     stats["td_width"] = td.width
     ntd = make_nice(td, g)
 
-    if pattern.kind in ("c4", "paw"):
-        runner = solve_c4 if pattern.kind == "c4" else solve_paw
-        if req.mode == "decide":
-            found = runner(g, ntd, stats=stats, budget=req.k)
-            answer: int | bool = found is not None
-        else:
-            answer = runner(g, ntd, stats=stats)
-    else:
-        if pattern.kind == "p3":
-            value = solve_bdd(g, ntd, 1, stats=stats)
-        elif pattern.kind == "p4":
-            value = solve_p4(g, ntd, stats=stats)
-        else:
-            assert pattern.s is not None
-            value = solve_k1s(g, ntd, pattern.s, stats=stats)
-        answer = value <= req.k if req.mode == "decide" else value
+    # Looked up at call time, so a tracer that patches these names sees them.
+    runners = {"p3": solve_p3, "p4": solve_p4, "c4": solve_c4, "paw": solve_paw}
+    runners["k1s"] = partial(solve_k1s, s=pattern.s)
+    value = runners[pattern.kind](g, ntd, stats=stats, budget=req.k)
+    answer = value is not None if req.mode == "decide" else value
 
     stats["nice_nodes"] = len(ntd)
     stats["wall_time_s"] = time.perf_counter() - started

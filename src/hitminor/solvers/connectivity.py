@@ -22,11 +22,11 @@ partial solution has forgotten: each deletion is paid once, at its forget
 node.  After every node each set of two or more codes is shrunk to a
 min-weight representative subset, which keeps the tables single-exponential
 in the bag size.  The answer is the least weight at the root, where v0 alone
-is left; with a budget, an entry is dropped as soon as its weight plus its
-key's deleted bag vertices exceeds it.  Each component takes one edge to v0,
-at the forget node of one of its vertices, so no key records one: a
-forgotten ground position leaves as it is, which needs another position in
-its block, or takes its component's v0-edge first.
+is left; with a budget, the engine drops an entry as soon as its weight
+plus its key's deleted bag vertices exceeds it.  Each component takes one
+edge to v0, at the forget node of one of its vertices, so no key records
+one: a forgotten ground position leaves as it is, which needs another
+position in its block, or takes its component's v0-edge first.
 
 Correctness rests on a counter rather than on local cycle checks: a kept
 graph whose blocks are edges and triangles (C4-free) with i vertices, j
@@ -38,9 +38,10 @@ and entries whose partition disagrees with c are dropped; the one local
 check left is that no edge lies in two triangles (a diamond keeps the count
 right).
 
-The two solvers share that filter (`finish`), one forget and one join; each
-supplies its introduce, which reads the new vertex's bag neighbours from
-the engine's bag adjacency bitmasks, and the labels that may not be
+The two solvers share that count check and the reduction (`finish`, which
+the engine runs on each entry after every node), one forget and one join;
+each supplies its introduce, which reads the new vertex's bag neighbours
+from the engine's bag adjacency bitmasks, and the labels that may not be
 forgotten.  A join pairs keys whose positions agree on their kind (deleted,
 cycle or ground), adds them, subtracts once what both sides counted, as the
 bounded-degree join does, and rejects a cycle degree above 2 with one
@@ -156,53 +157,35 @@ def _dp(g, ntd, budget, stats, introduce, stay) -> int | None:
     """Run the engine with one solver's `introduce`, the shared leaf and
     join and the forget that keeps labels in `stay`; return the least
     weight at the root, where `finish` leaves only connected entries."""
-    # No partial deletes more than all n vertices, so n is no bound.
-    limit = g.n if budget is None else budget
     max_pset = 0
 
-    def finish(bag, table: dict) -> None:
+    def finish(key, entries: dict) -> dict | None:
         # Every component of a viable partial holds a bag vertex or v0
-        # (forgetting the last one is blocked by the projection), so its
-        # component count equals the partition's block count.  A partial
-        # whose count c disagrees with that already contains the pattern and
-        # never recovers; drop such entries, and those over budget, before
-        # reducing.  At the root every code is (0,), so only c == 1 stays.
-        # This is the only cycle check; see the module docstring.
+        # (forgetting the last one is blocked by the projection), so a code
+        # whose block count is not the key's count c belongs to a partial
+        # that already contains the pattern: drop it before reducing.  This
+        # is the only cycle check; see the module docstring.
         nonlocal max_pset
-        ones = _ground_bits(len(bag)) >> 2
-        for key, entries in list(table.items()):
-            packed, _, want = key
-            room = limit - len(bag) + ((packed | packed >> 1 | packed >> 2) & ones).bit_count()
-            kept = {
-                code: w
-                for code, w in entries.items()
-                if w <= room and len(set(code)) == want
-            }
-            if not kept:
-                del table[key]
-                continue
-            if len(kept) > 1:
-                kept = reduce_codes(kept)
-                assert len(kept) <= 1 << len(next(iter(kept))) - 1
-            # kept is a subset of entries.  Keep the stored dict when it is
-            # whole: it may be shared with other keys, which saves memory.
-            if len(kept) < len(entries):
-                table[key] = kept
-            if len(kept) > max_pset:
-                max_pset = len(kept)
+        kept = {code: w for code, w in entries.items() if len(set(code)) == key[2]}
+        if not kept:
+            return None
+        if len(kept) > 1:
+            kept = reduce_codes(kept)
+            assert len(kept) <= 1 << len(next(iter(kept))) - 1
+        if len(kept) > max_pset:
+            max_pset = len(kept)
+        # Keep the stored dict when it is whole: it may be shared with
+        # other keys, which saves memory.
+        return kept if len(kept) < len(entries) else entries
 
     hooks = (introduce, partial(_forget, stay), _join)
-    # The leaf's one code is v0 alone.
-    leaf = {(0, frozenset(), 1): {(0,): 0}}
-    root_table = run_dp(g, ntd, leaf.copy, *hooks, finish=finish, stats=stats)
+    # The empty bag's one viable key and code, v0 alone: the leaf's and root's.
+    empty = (0, frozenset(), 1)
+    leaf = {empty: {(0,): 0}}.copy
+    root_table = run_dp(g, ntd, leaf, *hooks, _W, finish, budget, stats=stats)
     if stats is not None:
-        stats["max_partition_set_size"] = max(
-            stats.get("max_partition_set_size", 0), max_pset
-        )
-    return min(
-        (w for entries in root_table.values() for w in entries.values()),
-        default=None,
-    )
+        stats["max_partition_set_size"] = max(stats.get("max_partition_set_size", 0), max_pset)
+    return root_table.get(empty, {}).get((0,))
 
 
 # ---------------------------------------------------------------------------
@@ -212,18 +195,11 @@ def _dp(g, ntd, budget, stats, introduce, stay) -> int | None:
 
 
 def solve_c4(
-    g: Graph,
-    ntd: NiceTreeDecomposition,
-    stats: dict | None = None,
-    budget: int | None = None,
+    g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None, budget: int | None = None
 ) -> int | None:
-    """Minimum deletions making g C4-TM-free.
-
-    `ntd` must be a nice decomposition of g; a bag vertex outside g raises
-    ValueError.  With a budget, returns the minimum if it is at most the
-    budget, else None; without one, always returns the minimum.  Either way
-    it is a single pass.
-    """
+    """Minimum deletions making g C4-TM-free, or None if they exceed a given
+    budget, in a single pass either way.  `ntd` must be a nice decomposition
+    of g; a bag vertex outside g raises ValueError."""
     return _c4_pass(g, ntd, budget, stats)
 
 
@@ -287,10 +263,7 @@ def _c4_introduce(bag, adj: list[int], pos: int, child: dict) -> dict:
 
 
 def solve_paw(
-    g: Graph,
-    ntd: NiceTreeDecomposition,
-    stats: dict | None = None,
-    budget: int | None = None,
+    g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None, budget: int | None = None
 ) -> int | None:
     """Minimum deletions making g paw-TM-free; see solve_c4 for the contract."""
     return _paw_pass(g, ntd, budget, stats)

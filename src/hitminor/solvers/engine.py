@@ -11,6 +11,12 @@ are visited in the post-order of the nice decomposition (Cygan et al.,
 its parent's is built, so at most one table per pending join branch is
 alive.
 
+The engine alone applies a decide-mode budget: after each leaf, introduce
+and join node it drops every entry whose weight plus its key's deleted bag
+vertices (label 0) exceeds it.  A forget node pays exactly the deletion it
+drops from the bag, so it pushes no entry over and is not checked.  A
+solver whose root table is left empty returns None.
+
 Every solver packs its bag vertices' labels into one int: bag position p's
 label is the field of `width` bits at bit width·p, and label 0 (deleted) is
 an all-zero field, so the empty bag's key is 0.  The label tables key an
@@ -116,6 +122,34 @@ def check_bags(g: Graph, ntd: NiceTreeDecomposition) -> None:
             )
 
 
+def within(value: int, budget: int | None) -> int | None:
+    """`value`, or None if a budget is given and `value` exceeds it."""
+    return value if budget is None or value <= budget else None
+
+
+def _prune(table: dict, width: int, n: int, base: int | None, finish) -> None:
+    """`run_dp`'s pass over a node's table, of n bag positions: a key's room
+    is `base` (the budget minus n) plus its nonzero label fields."""
+    ones = ((1 << width * n) - 1) // ((1 << width) - 1)
+    top = ones << width - 1
+    low = top - ones  # (x & low) + low | x sets a field's top bit iff x != 0
+    for key, value in list(table.items()):
+        if finish is None:
+            if value > base + (((key & low) + low | key) & top).bit_count():
+                del table[key]
+            continue
+        kept = value
+        if base is not None:
+            room = base + (((key[0] & low) + low | key[0]) & top).bit_count()
+            if max(value.values()) > room:
+                kept = {code: w for code, w in value.items() if w <= room}
+        kept = finish(key, kept) if kept else None
+        if kept is None:
+            del table[key]
+        elif kept is not value:
+            table[key] = kept
+
+
 def run_dp(
     g: Graph,
     ntd: NiceTreeDecomposition,
@@ -123,17 +157,22 @@ def run_dp(
     introduce,
     forget,
     join,
+    width: int,
     finish=None,
+    budget: int | None = None,
     bound: int | None = None,
     stats: dict | None = None,
 ) -> dict:
     """Build every node's table bottom-up over `ntd`, a nice decomposition
     of g, and return the root's.
 
-    A bag vertex outside g raises ValueError.  `finish(bag, table)`, if
-    given, may prune or rewrite a node's table in place before it is
-    measured.  With a `bound`, every table is asserted to hold at most
-    bound^|bag| keys.  The largest table size is folded into
+    A label table maps a key, its labels in fields of `width` bits, to the
+    deletions its partial solution has forgotten; C4 and paw map a key
+    (labels, ...) to a {code: weight} dict.  `budget` prunes as the module
+    docstring says; then `finish(key, entries)`, for dict tables, returns
+    each entry's dict to keep, or None to drop it.  A bag vertex outside g
+    raises ValueError.  With a `bound`, every table is asserted to hold at
+    most bound^|bag| keys.  The largest table size is folded into
     `stats["max_table_size"]`, and the number of entries stored over all
     nodes is added to `stats["table_entries"]`.
     """
@@ -157,8 +196,9 @@ def run_dp(
             table = join(bag_adjacency(g, bag), tables[kids[0]], tables[kids[1]])
         for c in kids:
             tables[c] = None
-        if finish is not None:
-            finish(bag, table)
+        base = None if budget is None or kind == FORGET else budget - len(bag)
+        if base is not None or finish is not None:
+            _prune(table, width, len(bag), base, finish)
         if bound is not None:
             assert len(table) <= bound ** len(bag)
         max_table = max(max_table, len(table))

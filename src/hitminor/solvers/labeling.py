@@ -5,16 +5,17 @@ degree one and `solve_p3` is the degree-1 case of `solve_bdd`.
 Each table maps a key, the labels of the bag vertices packed into one int
 (`engine.get_field`), to the smallest number of deleted vertices the subtree
 has already forgotten, among partial solutions realizing those labels on the
-subtree graph; missing keys mean "infeasible".  Bag position p's label is
-the field of B bits at bit B·p.  Label 0 means deleted in every table, and
-a kept vertex of bounded degree d (or of paw's cycle part) is labelled
-1 + its degree, in fields of B = (d + 1).bit_length() + 2 bits: a label is
-at most d + 1 < 2^(B-2), so two labels add without a carry into the next
-field, and the field's top bit is a guard bit that one addition per field
-sets exactly where a label passes a threshold.  P4's six labels take B = 3.
-Both solvers share one forget, which drops a field with a shift and a mask
-and pays each deletion once, when its vertex is forgotten; each join adds
-the two counts.
+subtree graph; missing keys mean "infeasible", or over the budget, which the
+engine enforces; a solver returns None when its minimum exceeds it.  Bag
+position p's label is the field of B bits at bit B·p.  Label 0 means deleted
+in every table, and a kept vertex of bounded degree d (or of paw's cycle
+part) is labelled 1 + its degree, in fields of B = (d + 1).bit_length() + 2
+bits: a label is at most d + 1 < 2^(B-2), so two labels add without a carry
+into the next field, and the field's top bit is a guard bit that one
+addition per field sets exactly where a label passes a threshold.  P4's six
+labels take B = 3.  Both solvers share one forget, which drops a field with
+a shift and a mask and pays each deletion once, when its vertex is
+forgotten; each join adds the two counts.
 
 P4 uses six labels: deleted, ISO (kept with no kept neighbour yet, its role
 still open), star leaf, star centre, open triangle vertex and completed
@@ -35,7 +36,7 @@ from functools import partial
 
 from ..graph import Graph
 from ..treedecomp import NiceTreeDecomposition
-from .engine import bits, check_bags, guard_fills, kept_counts, run_dp, spread
+from .engine import bits, check_bags, guard_fills, kept_counts, run_dp, spread, within
 
 Table = dict[int, int]
 
@@ -103,10 +104,12 @@ _P4_DEL, _P4_ISO, _P4_LEAF, _P4_CENTER, _P4_TRI_OPEN, _P4_TRI_DONE = range(6)
 _P4_WIDTH = 3
 
 
-def solve_p4(g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None) -> int:
+def solve_p4(
+    g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None, budget: int | None = None
+) -> int | None:
     """Minimum deletions so every component is a triangle or a star."""
     hooks = (_p4_introduce, partial(_forget, _P4_WIDTH, _P4_TRI_OPEN), _p4_join)
-    return run_dp(g, ntd, _leaf, *hooks, bound=6, stats=stats)[0]
+    return run_dp(g, ntd, _leaf, *hooks, _P4_WIDTH, budget=budget, bound=6, stats=stats).get(0)
 
 
 def _p4_introduce(bag, adj: list[int], pos: int, child: Table) -> Table:
@@ -237,11 +240,8 @@ def _p4_free_merge(a: int, b: int) -> int:
 
 
 def solve_bdd(
-    g: Graph,
-    ntd: NiceTreeDecomposition,
-    d: int,
-    stats: dict | None = None,
-) -> int:
+    g: Graph, ntd, d: int, stats: dict | None = None, budget: int | None = None
+) -> int | None:
     """Minimum deletions so every remaining vertex has degree at most d."""
     if d < 0:
         raise ValueError("maximum degree must be non-negative")
@@ -251,14 +251,14 @@ def solve_bdd(
         if stats is not None:
             stats.setdefault("max_table_size", 0)
             stats.setdefault("table_entries", 0)
-        return 0
+        return within(0, budget)
     width = (d + 1).bit_length() + 2
     hooks = (
         partial(_bdd_introduce, d, width),
         partial(_forget, width, None),
         partial(_bdd_join, d, width),
     )
-    return run_dp(g, ntd, _leaf, *hooks, bound=d + 2, stats=stats)[0]
+    return run_dp(g, ntd, _leaf, *hooks, width, budget=budget, bound=d + 2, stats=stats).get(0)
 
 
 def _bdd_introduce(d: int, width: int, bag, adj: list[int], pos: int, child: Table) -> Table:
@@ -313,6 +313,8 @@ def _bdd_join(d: int, width: int, adj: list[int], left: Table, right: Table) -> 
     return out
 
 
-def solve_p3(g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None) -> int:
+def solve_p3(
+    g: Graph, ntd: NiceTreeDecomposition, stats: dict | None = None, budget: int | None = None
+) -> int | None:
     """Minimum deletions so every remaining vertex has degree at most one."""
-    return solve_bdd(g, ntd, 1, stats)
+    return solve_bdd(g, ntd, 1, stats, budget)

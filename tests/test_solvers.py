@@ -428,12 +428,22 @@ def _stored_tables(monkeypatch, solver, g):
     seen = []
     original = conn.run_dp
 
-    def spy_run_dp(g, ntd, *hooks, finish, **kwargs):
-        def spy_finish(bag, table):
-            finish(bag, table)
-            seen.append((bag, dict(table)))
+    def spy_run_dp(g, ntd, *args, **kwargs):
+        # One node-kind hook runs per node, in post-order; the engine then
+        # prunes the table it returned in place.
+        tables = []
 
-        return original(g, ntd, *hooks, finish=spy_finish, **kwargs)
+        def recorded(hook):
+            def wrapper(*hook_args):
+                tables.append(hook(*hook_args))
+                return tables[-1]
+
+            return wrapper
+
+        hooks = [recorded(hook) for hook in args[:4]]
+        root = original(g, ntd, *hooks, *args[4:], **kwargs)
+        seen.extend(zip(ntd.bags, tables))
+        return root
 
     monkeypatch.setattr(conn, "run_dp", spy_run_dp)
     solver(g, make_nice(heuristic_td(g), g))
@@ -498,7 +508,13 @@ class TestPruningStrength:
     each component's v0-edge at a forget node, never at a bag vertex; taking
     it at introduce, as a key field, keeps every answer but about doubles
     their tables (3x12 grid: C4 90 keys, paw 165).  So today's sizes are
-    ceilings: pattern -> (max_table_size, max_partition_set_size)."""
+    ceilings: pattern -> (max_table_size, max_partition_set_size).
+
+    In decide mode every solver drops an entry as soon as its weight plus
+    its deleted bag vertices exceeds the budget, so at k = opt - 1 the
+    entries stored over all nodes have ceilings too (`DECIDE_ENTRIES`).
+    Leaving the deleted bag vertices out of that sum keeps every answer but
+    stores more entries."""
 
     CEILINGS = {
         "grid3x12": {
@@ -519,20 +535,46 @@ class TestPruningStrength:
         },
     }
 
-    @pytest.mark.parametrize("name", sorted(CEILINGS))
-    def test_table_sizes_stay_at_most_today(self, name):
+    DECIDE_ENTRIES = {
+        "grid3x12": {
+            "p3": 1189,
+            "p4": 2357,
+            "k1s:3": 1872,
+            "k1s:4": 1164,
+            "c4": 1531,
+            "paw": 3263,
+        },
+        "frozen#2": {"p3": 122, "p4": 267, "k1s:3": 125, "k1s:4": 73, "c4": 77, "paw": 270},
+    }
+
+    @staticmethod
+    def _graph(name):
         from test_acceptance import FROZEN_INSTANCES
 
         if name == "grid3x12":
-            g = grid_graph(3, 12)
-        else:
-            n, edges, _, _ = FROZEN_INSTANCES[2]
-            g = Graph(n, edges)
+            return grid_graph(3, 12)
+        n, edges, _, _ = FROZEN_INSTANCES[2]
+        return Graph(n, edges)
+
+    @pytest.mark.parametrize("name", sorted(CEILINGS))
+    def test_table_sizes_stay_at_most_today(self, name):
+        g = self._graph(name)
         for pname, (tables, psets) in self.CEILINGS[name].items():
             stats = solve(SolveRequest(graph=g, pattern=parse_pattern(pname))).stats
             assert stats["max_table_size"] <= tables, pname
             if psets is not None:
                 assert stats["max_partition_set_size"] <= psets, pname
+
+    @pytest.mark.parametrize("name", sorted(DECIDE_ENTRIES))
+    def test_decide_entries_stay_at_most_today(self, name):
+        g = self._graph(name)
+        for pname, ceiling in self.DECIDE_ENTRIES[name].items():
+            pattern = parse_pattern(pname)
+            opt = minimize(g, pattern)
+            req = SolveRequest(graph=g, pattern=pattern, mode="decide", k=opt - 1)
+            result = solve(req)
+            assert result.answer is False, pname
+            assert result.stats["table_entries"] <= ceiling, pname
 
 
 class TestNoCyclicGarbage:
@@ -606,22 +648,29 @@ class TestSinglePass:
                     assert solve(req).answer == (opt <= k)
 
     def test_budget_contract_above_oracle_guard(self):
+        """Every table solver returns its minimum m at budgets m and m + 1,
+        and None at m - 1, negative budgets included."""
+        runners = (solve_p3, solve_p4, partial(solve_k1s, s=3), solve_c4, solve_paw)
         rng = random.Random(77)
-        checked = 0
-        while checked < 20:
+        graphs = []
+        while len(graphs) < 20:
             n = rng.randrange(16, 23)
             g = random_graph(n, rng.uniform(1.5, 3.0) / n, rng)
-            td = heuristic_td(g)
-            if td.width > 5:
-                continue
-            checked += 1
-            ntd = make_nice(td, g)
-            for runner in (solve_c4, solve_paw):
+            if heuristic_td(g).width <= 5:
+                graphs.append(g)
+        # Maximum degree 2: K1,3's solver answers 0 without a DP.
+        ring = cycle_graph(20)
+        graphs.append(ring)
+        for g in graphs:
+            ntd = make_nice(heuristic_td(g), g)
+            for runner in runners:
                 m = runner(g, ntd)
                 assert runner(g, ntd, budget=m) == m
                 assert runner(g, ntd, budget=m + 1) == m
-                if m > 0:
-                    assert runner(g, ntd, budget=m - 1) is None
+                assert runner(g, ntd, budget=m - 1) is None
+        stats: dict = {}
+        assert solve_k1s(ring, make_nice(heuristic_td(ring), ring), 3, stats, budget=0) == 0
+        assert stats["table_entries"] == 0
 
 
 class TestDecompositionPipeline:
