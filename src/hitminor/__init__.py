@@ -9,12 +9,7 @@ an exhaustive oracle certifies everything at desk scale.
 
 from .errors import FormatError, GuardError, InvalidDecomposition
 from .graph import (
-    ComponentSummary,
     Graph,
-    c4_condition,
-    connected_components,
-    contains_diamond,
-    count_triangles,
     disjoint_union,
     edge_bound_holds,
     grid_graph,
@@ -73,11 +68,6 @@ __all__ = [
     "GuardError",
     "InvalidDecomposition",
     "Graph",
-    "ComponentSummary",
-    "connected_components",
-    "count_triangles",
-    "contains_diamond",
-    "c4_condition",
     "edge_bound_holds",
     "parse_gr",
     "write_gr",

@@ -1,13 +1,13 @@
 """Simple undirected graphs with contiguous integer vertex ids.
 
 Vertices are always exactly 0..n-1.  Graphs are immutable after construction
-and safe to share between threads.  File I/O speaks the PACE .gr format
-(1-based vertex ids externally, 0-based internally).
+and safe to share between threads; `induced` is the one subgraph copy, as
+the freeness checks read g - S in place.  File I/O speaks the PACE .gr
+format (1-based vertex ids externally, 0-based internally).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import FormatError
@@ -68,10 +68,6 @@ class Graph:
         ]
         return Graph(len(kept), edges)
 
-    def without(self, drop: Iterable[int]) -> Graph:
-        dropped = set(drop)
-        return self.induced(v for v in range(self.n) if v not in dropped)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -84,87 +80,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-@dataclass(frozen=True)
-class ComponentSummary:
-    """One connected component with its shape flags.
-
-    A single vertex is simultaneously a tree, a path, and a star; a triangle
-    is the only cycle that is not diamond- or C4-prone on its own.
-    """
-
-    vertices: frozenset[int]
-    size: int
-    is_tree: bool
-    is_path: bool
-    is_cycle: bool
-    is_star: bool
-    is_triangle: bool
-
-
-def connected_components(g: Graph) -> list[ComponentSummary]:
-    """All components of g with shape flags, ordered by smallest vertex."""
-    seen = [False] * g.n
-    out: list[ComponentSummary] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w in g.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comp.sort()
-        degs = [g.degree(v) for v in comp]
-        size = len(comp)
-        m_c = sum(degs) // 2
-        is_tree = m_c == size - 1
-        is_path = is_tree and all(d <= 2 for d in degs)
-        is_cycle = size >= 3 and all(d == 2 for d in degs)
-        is_star = sum(1 for d in degs if d >= 2) <= 1
-        out.append(
-            ComponentSummary(
-                vertices=frozenset(comp),
-                size=size,
-                is_tree=is_tree,
-                is_path=is_path,
-                is_cycle=is_cycle,
-                is_star=is_star,
-                is_triangle=is_cycle and size == 3,
-            )
-        )
-    return out
-
-
-def count_triangles(g: Graph) -> int:
-    """Number of vertex triples inducing three edges."""
-    total = 0
-    for u, v in g.edges():
-        common = g.neighbors(u) & g.neighbors(v)
-        total += sum(1 for w in common if w > v)
-    return total
-
-
-def contains_diamond(g: Graph) -> bool:
-    """True iff some edge lies in at least two triangles."""
-    for u, v in g.edges():
-        if len(g.neighbors(u) & g.neighbors(v)) >= 2:
-            return True
-    return False
-
-
-def c4_condition(g: Graph) -> bool:
-    """Diamond-subgraph-freeness together with n - m + c3 = cc."""
-    if contains_diamond(g):
-        return False
-    cc = len(connected_components(g))
-    return g.n - g.m + count_triangles(g) == cc
 
 
 def edge_bound_holds(g: Graph) -> bool:

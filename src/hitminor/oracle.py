@@ -4,7 +4,8 @@ Everything here is guarded to small inputs and refuses loudly beyond them;
 an oracle that silently degrades would poison every test built on it.  The
 containment searches are generic model searches, independent of the
 structural characterizations in `patterns`, so the two routes can certify
-each other.
+each other.  Brute-force deletion hands each subset to `is_free` as its
+deleted set; no graph is built per subset.
 """
 
 from __future__ import annotations
@@ -252,6 +253,6 @@ def min_deletion_bruteforce(g: Graph, pattern: Pattern) -> int:
         )
     for k in range(g.n + 1):
         for subset in combinations(range(g.n), k):
-            if is_free(g.without(subset), pattern):
+            if is_free(g, pattern, frozenset(subset)):
                 return k
     raise AssertionError("deleting every vertex always succeeds")

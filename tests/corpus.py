@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from hitminor import Graph, Partition, WeightedPartitionSet
 
@@ -18,6 +19,46 @@ def from_nx(gx) -> Graph:
     mapping = {v: i for i, v in enumerate(sorted(gx.nodes()))}
     return Graph(
         gx.number_of_nodes(), [(mapping[u], mapping[v]) for u, v in gx.edges()]
+    )
+
+
+def to_nx(g: Graph):
+    import networkx as nx
+
+    gx = nx.Graph()
+    gx.add_nodes_from(range(g.n))
+    gx.add_edges_from(g.edges())
+    return gx
+
+
+class C4Counts(NamedTuple):
+    """The terms of the C4 counting identity, computed by networkx."""
+
+    n: int
+    m: int
+    triangles: int
+    components: int
+    diamond: bool  # some edge lies in two triangles
+
+    @property
+    def identity_holds(self) -> bool:
+        """Diamond-freeness together with n - m + triangles = components,
+        which characterizes the C4-topological-minor-free graphs."""
+        return not self.diamond and self.n - self.m + self.triangles == self.components
+
+
+def c4_counts(g: Graph) -> C4Counts:
+    import networkx as nx
+
+    gx = to_nx(g)
+    return C4Counts(
+        n=g.n,
+        m=g.m,
+        triangles=sum(nx.triangles(gx).values()) // 3,
+        components=nx.number_connected_components(gx),
+        diamond=any(
+            len(list(nx.common_neighbors(gx, u, v))) >= 2 for u, v in gx.edges()
+        ),
     )
 
 

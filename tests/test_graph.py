@@ -5,17 +5,12 @@ import pytest
 from hitminor import (
     FormatError,
     Graph,
-    c4_condition,
-    connected_components,
-    contains_diamond,
-    count_triangles,
     edge_bound_holds,
     parse_gr,
     write_gr,
 )
-from hitminor.patterns import diamond_graph
 
-from corpus import complete_graph, cycle_graph, path_graph, random_graph
+from corpus import c4_counts, complete_graph, cycle_graph, path_graph, random_graph
 
 
 class TestGraph:
@@ -43,64 +38,8 @@ class TestGraph:
         assert sub.n == 3
         assert sub.edges() == ((0, 1),)
 
-    def test_without(self):
-        g = cycle_graph(4)
-        assert g.without([0]).edges() == ((0, 1), (1, 2))
-
-
-class TestComponents:
-    def test_empty_graph(self):
-        assert connected_components(Graph(0)) == []
-
-    def test_two_disjoint_edges(self):
-        comps = connected_components(Graph(4, [(0, 1), (2, 3)]))
-        assert len(comps) == 2
-        assert all(c.is_path for c in comps)
-
-    def test_c4_plus_isolated(self):
-        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        comps = connected_components(g)
-        by_size = {c.size: c for c in comps}
-        assert by_size[4].is_cycle and not by_size[4].is_tree
-        single = by_size[1]
-        assert single.is_tree and single.is_path and single.is_star
-
-    def test_triangle_flags(self):
-        (c,) = connected_components(cycle_graph(3))
-        assert c.is_cycle and c.is_triangle and not c.is_star
-
-    def test_flags_match_recomputation(self):
-        rng = random.Random(11)
-        for _ in range(120):
-            g = random_graph(rng.randrange(1, 10), rng.random(), rng)
-            for comp in connected_components(g):
-                degs = [g.degree(v) for v in comp.vertices]
-                assert comp.is_cycle == (
-                    comp.size >= 3 and all(d == 2 for d in degs)
-                )
-                assert comp.is_star == (sum(d >= 2 for d in degs) <= 1)
-                assert comp.is_path == (comp.is_tree and max(degs) <= 2)
-                m_c = sum(degs) // 2
-                assert comp.is_tree == (m_c == comp.size - 1)
-
 
 class TestCounts:
-    def test_triangle_counts(self):
-        assert count_triangles(cycle_graph(3)) == 1
-        assert count_triangles(cycle_graph(4)) == 0
-        assert count_triangles(complete_graph(4)) == 4
-
-    def test_diamond_detection(self):
-        assert contains_diamond(complete_graph(4))
-        assert not contains_diamond(cycle_graph(4))
-        assert contains_diamond(diamond_graph())
-
-    def test_c4_condition(self):
-        assert c4_condition(cycle_graph(3))
-        assert not c4_condition(cycle_graph(4))
-        assert not c4_condition(diamond_graph())
-        assert c4_condition(Graph(0))
-
     def test_edge_bound(self):
         assert edge_bound_holds(cycle_graph(3))
         assert not edge_bound_holds(complete_graph(4))
@@ -113,8 +52,9 @@ class TestCounts:
         rng = random.Random(5)
         for _ in range(150):
             g = random_graph(rng.randrange(1, 9), rng.random(), rng)
-            if not contains_diamond(g):
-                assert 3 * count_triangles(g) <= g.m
+            counts = c4_counts(g)
+            if not counts.diamond:
+                assert 3 * counts.triangles <= g.m
 
 
 class TestGrFormat:
