@@ -43,11 +43,27 @@ def drop_code(code: Code, i: int, project: bool) -> Code | None:
     other position."""
     if project and code.count(code[i]) == 1:
         return None
+    return _remove(code, i, i, i)
+
+
+def attach(code: Code, i: int) -> Code | None:
+    """Merge i's block with that of the last position, then remove i; None
+    when i's block holds the last position already."""
+    x, y = code[i], code[-1]
+    if x == y:
+        return None
+    return _remove(code, i, x, y) if x < y else _remove(code, i, y, x)
+
+
+def _remove(code: Code, i: int, lead: int, other: int) -> Code:
+    """Remove position i after merging the block led by `other` into `lead`'s."""
     out = []
     succ = -1
     for j, r in enumerate(code):
         if j == i:
             continue
+        if r == other:
+            r = lead
         if r == i:
             # i led its block: its next member, now at j - 1, takes over.
             if succ < 0:
@@ -106,7 +122,7 @@ def _cut_row(code: Code) -> int:
 def reduce_codes(entries: dict[Code, int]) -> dict[Code, int]:
     """Representative subset of {code: weight}, all codes of one length n,
     of size at most 2^(n-1) preserving opt: entries by ascending (weight, code)
-    whose cut rows stay independent over GF(2)."""
+    whose cut rows stay independent over GF(2); `entries` itself if all do."""
     if len(entries) <= 1:
         return entries
     basis: dict[int, int] = {}
@@ -120,7 +136,7 @@ def reduce_codes(entries: dict[Code, int]) -> dict[Code, int]:
                 kept[code] = w
                 break
             row ^= basis[lead]
-    return kept
+    return kept if len(kept) < len(entries) else entries
 
 
 # -- weighted sets ------------------------------------------------------------
@@ -131,34 +147,36 @@ def reduce_codes(entries: dict[Code, int]) -> dict[Code, int]:
 # Partition-keyed weights too.
 
 
-def glue_set(entries: dict, i: int, glue: Iterable[int]) -> dict:
-    """`insert_glue` on every code."""
+def glue_set(entries: dict, i: int, glue: Iterable[int], blocks: int | None) -> dict:
+    """`insert_glue` on every code, keeping those of `blocks` blocks (all if
+    None)."""
     out: dict = {}
     for code, w in entries.items():
         code = insert_glue(code, i, glue)
-        if w < out.get(code, w + 1):
+        if (blocks is None or len(set(code)) == blocks) and w < out.get(code, w + 1):
             out[code] = w
     return out
 
 
-def drop_set(entries: dict, i: int) -> dict:
-    """Projecting `drop_code` on every code; codes it rejects go."""
+def map_set(entries: dict, kernel, *args) -> dict:
+    """`kernel(code, *args)` on every code; codes it maps to None go."""
     out: dict = {}
     for code, w in entries.items():
-        code = drop_code(code, i, True)
+        code = kernel(code, *args)
         if code is not None and w < out.get(code, w + 1):
             out[code] = w
     return out
 
 
-def meet_sets(left: dict, right: dict) -> dict:
-    """Every pairwise meet, weights added."""
+def meet_sets(left: dict, right: dict, blocks: int | None) -> dict:
+    """Every pairwise meet, weights added, keeping those of `blocks` blocks
+    (all if None)."""
     out: dict = {}
     for c1, w1 in left.items():
         for c2, w2 in right.items():
             code = meet_codes(c1, c2)
             w = w1 + w2
-            if w < out.get(code, w + 1):
+            if (blocks is None or len(set(code)) == blocks) and w < out.get(code, w + 1):
                 out[code] = w
     return out
 
@@ -382,7 +400,7 @@ class WeightedPartitionSet:
         sset = set(s)
         target = tuple(sorted(set(self.ground) | sset))
         merged = {Partition.merged(target, sset).code: 0}
-        codes = meet_sets(self._lifted(target), merged)
+        codes = meet_sets(self._lifted(target), merged, None)
         return WeightedPartitionSet._of_codes(target, codes)
 
     def proj(self, xs: Iterable[int]) -> WeightedPartitionSet:
@@ -396,14 +414,14 @@ class WeightedPartitionSet:
         codes = self._codes()
         for i in reversed(range(len(self.ground))):
             if self.ground[i] in drop:
-                codes = drop_set(codes, i)
+                codes = map_set(codes, drop_code, i, True)
         return WeightedPartitionSet._of_codes(set(self.ground) - drop, codes)
 
     def join(self, other: WeightedPartitionSet) -> WeightedPartitionSet:
         """All pairwise combinations over the union ground, weights added."""
         target = tuple(sorted(set(self.ground) | set(other.ground)))
         return WeightedPartitionSet._of_codes(
-            target, meet_sets(self._lifted(target), other._lifted(target))
+            target, meet_sets(self._lifted(target), other._lifted(target), None)
         )
 
     def opt(self, q: Partition) -> int | None:

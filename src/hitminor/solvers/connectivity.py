@@ -22,26 +22,27 @@ partial solution has forgotten: each deletion is paid once, at its forget
 node.  After every node each set of two or more codes is shrunk to a
 min-weight representative subset, which keeps the tables single-exponential
 in the bag size.  The answer is the least weight at the root, where v0 alone
-is left; with a budget, the engine drops an entry as soon as its weight
-plus its key's deleted bag vertices exceeds it.  Each component takes one
-edge to v0, at the forget node of one of its vertices, so no key records
-one: a forgotten ground position leaves as it is, which needs another
-position in its block, or takes its component's v0-edge first.
+is left; with a budget, an entry goes as soon as its weight plus its key's
+deleted bag vertices exceeds it.  Each component takes one edge to v0, at
+the forget node of one of its vertices, so no key records one: a forgotten
+ground position leaves as it is, which needs another position in its
+block, or takes its component's v0-edge first.
 
 Correctness rests on a counter rather than on local cycle checks: a kept
 graph whose blocks are edges and triangles (C4-free) with i vertices, j
 edges and l triangles has c = i - j + l components, and a forest with i
 vertices and j edges has c = i - j; v0 and its edges count too.  So the
 solution is connected exactly when c = 1 at the root.  Any other cycle, a
-second v0-edge in one component included, leaves more components than c,
-and entries whose partition disagrees with c are dropped; the one local
-check left is that no edge lies in two triangles (a diamond keeps the count
-right).
+second v0-edge in one component included, leaves more blocks than c, so
+a code stays only with exactly c blocks, checked where blocks merge: at
+glue, at the join's meet and in `attach` (the v0-edge, which drops a code
+whose position shares v0's block already); the one local check left is
+that no edge lies in two triangles (a diamond keeps the count right).
 
-The two solvers share that count check and the reduction (`finish`, which
-the engine runs on each entry after every node), one forget and one join;
-each supplies its introduce, which reads the new vertex's bag neighbours
-from the engine's bag adjacency bitmasks, and the labels that may not be
+The two solvers share the reduction (`finish`, run on each node's table,
+which also drops codes over the budget), one forget and one join; each
+supplies its introduce, which reads the new vertex's bag neighbours from
+the engine's bag adjacency bitmasks, and the labels that may not be
 forgotten.  A join pairs keys whose positions agree on their kind (deleted,
 cycle or ground), adds them, subtracts once what both sides counted, as the
 bounded-degree join does, and rejects a cycle degree above 2 with one
@@ -53,7 +54,8 @@ from __future__ import annotations
 from functools import partial
 
 from ..graph import Graph
-from ..partitions import drop_set, glue_set, meet_sets, reduce_codes, shift_set, union_into
+from ..partitions import attach, drop_code, glue_set, map_set, meet_sets, reduce_codes
+from ..partitions import shift_set, union_into
 from ..treedecomp import NiceTreeDecomposition
 from .engine import bits, field_mask, guard_fills, kept_counts, run_dp, spread
 
@@ -86,9 +88,9 @@ def _vedge(a: int, b: int) -> tuple[int, int]:
 def _forget(stay: tuple[int, ...], v: int, cpos: int, child: dict) -> dict:
     """Drop position cpos's field (`remove_field`, inlined), paying for a
     deletion; a label in `stay` may not leave.  A ground position i leaves
-    as it is, or first takes its component's v0-edge (a meet with the block
-    {i, v0}) under count c - 1; if i's block holds v0 already, `finish`
-    drops the cycle that closes."""
+    as it is, or takes its component's v0-edge under count c - 1 (`attach`,
+    which drops a code whose i shares v0's block: that edge closes a
+    cycle)."""
     shift = _W * cpos
     low = (1 << shift) - 1
     # The ground bits below cpos: their count is cpos's ground index.
@@ -105,10 +107,8 @@ def _forget(stay: tuple[int, ...], v: int, cpos: int, child: dict) -> dict:
         if redges:
             redges = frozenset(e for e in redges if v not in e)
         i = (key_c & below).bit_count()
-        union_into(out, (key, redges, c), drop_set(entries, i))
-        n = len(next(iter(entries))) - 1
-        attached = meet_sets(entries, {tuple(range(n)) + (i,): 0})
-        union_into(out, (key, redges, c - 1), drop_set(attached, i))
+        union_into(out, (key, redges, c), map_set(entries, drop_code, i, True))
+        union_into(out, (key, redges, c - 1), map_set(entries, attach, i))
     return out
 
 
@@ -148,35 +148,35 @@ def _join(adj: list[int], left: dict, right: dict) -> dict:
             key = base + key2
             if (key + over) & guard:
                 continue
-            key = (key, redges1 | redges2, c1 + c2 - shared_c)
-            union_into(out, key, meet_sets(entries1, entries2))
+            c = c1 + c2 - shared_c
+            union_into(out, (key, redges1 | redges2, c), meet_sets(entries1, entries2, c))
     return out
 
 
 def _dp(g, ntd, budget, stats, introduce, stay) -> int | None:
     """Run the engine with one solver's `introduce`, the shared leaf and
     join and the forget that keeps labels in `stay`; return the least
-    weight at the root, where `finish` leaves only connected entries."""
+    weight at the root, where v0 is alone and c = 1."""
     max_pset = 0
 
-    def finish(key, entries: dict) -> dict | None:
-        # Every component of a viable partial holds a bag vertex or v0
-        # (forgetting the last one is blocked by the projection), so a code
-        # whose block count is not the key's count c belongs to a partial
-        # that already contains the pattern: drop it before reducing.  This
-        # is the only cycle check; see the module docstring.
+    def finish(table: dict, room) -> None:
+        # Drop the codes over a key's budget room, then reduce sets of two or
+        # more; a set kept whole stays the stored dict, which keys may share.
         nonlocal max_pset
-        kept = {code: w for code, w in entries.items() if len(set(code)) == key[2]}
-        if not kept:
-            return None
-        if len(kept) > 1:
-            kept = reduce_codes(kept)
-            assert len(kept) <= 1 << len(next(iter(kept))) - 1
-        if len(kept) > max_pset:
-            max_pset = len(kept)
-        # Keep the stored dict when it is whole: it may be shared with
-        # other keys, which saves memory.
-        return kept if len(kept) < len(entries) else entries
+        for key, entries in list(table.items()):
+            if room is not None:
+                limit = room(key[0])
+                kept = {code: w for code, w in entries.items() if w <= limit}
+                if len(kept) < len(entries):
+                    if not kept:
+                        del table[key]
+                        continue
+                    entries = table[key] = kept
+            if len(entries) > 1:
+                entries = table[key] = reduce_codes(entries)
+                assert len(entries) <= 1 << len(next(iter(entries))) - 1
+            if len(entries) > max_pset:
+                max_pset = len(entries)
 
     hooks = (introduce, partial(_forget, stay), _join)
     # The empty bag's one viable key and code, v0 alone: the leaf's and root's.
@@ -252,7 +252,7 @@ def _c4_introduce(bag, adj: list[int], pos: int, child: dict) -> dict:
         # An edge gaining a second triangle would form a diamond.
         if not redges.isdisjoint(new_tris):
             continue
-        union_into(out, (grown, redges | new_tris, c + dc), glue_set(entries, i, glue))
+        union_into(out, (grown, redges | new_tris, c + dc), glue_set(entries, i, glue, c + dc))
     return out
 
 
@@ -294,8 +294,8 @@ def _paw_introduce(bag, adj: list[int], pos: int, child: dict) -> dict:
             i = (key & low & ground_bits).bit_count()
             # Ground indices over the forest positions; v0 follows them.
             nbrs = [(grown & m).bit_count() for q, m in nbr_below if key >> _W * q & _GROUND]
-            key_f = (grown, redges, c + 1 - len(nbrs))
-            union_into(out, key_f, glue_set(entries, i, nbrs + [i]))
+            c_f = c + 1 - len(nbrs)
+            union_into(out, (grown, redges, c_f), glue_set(entries, i, nbrs + [i], c_f))
         # Cycle case: neighbours already in the cycle part gain one degree,
         # as in `labeling._bdd_introduce` with d = 2.
         if (y + full_fill) & guard:

@@ -11,11 +11,13 @@ are visited in the post-order of the nice decomposition (Cygan et al.,
 its parent's is built, so at most one table per pending join branch is
 alive.
 
-The engine alone applies a decide-mode budget: after each leaf, introduce
-and join node it drops every entry whose weight plus its key's deleted bag
-vertices (label 0) exceeds it.  A forget node pays exactly the deletion it
-drops from the bag, so it pushes no entry over and is not checked.  A
-solver whose root table is left empty returns None.
+The engine alone sets a decide-mode budget: after each leaf, introduce and
+join node an entry goes when its weight plus its key's deleted bag vertices
+(label 0) exceeds it.  A table of code dicts goes whole to `finish` with
+`room(labels)`, the largest weight a key may keep, and `finish` drops the
+codes above it.  A forget node pays exactly the deletion it drops from the
+bag, so it pushes no entry over and is not checked.  A solver whose root
+table is left empty returns None.
 
 Every solver packs its bag vertices' labels into one int: bag position p's
 label is the field of `width` bits at bit width·p, and label 0 (deleted) is
@@ -133,21 +135,13 @@ def _prune(table: dict, width: int, n: int, base: int | None, finish) -> None:
     ones = ((1 << width * n) - 1) // ((1 << width) - 1)
     top = ones << width - 1
     low = top - ones  # (x & low) + low | x sets a field's top bit iff x != 0
+    if finish is not None:
+        room = None if base is None else lambda x: base + (((x & low) + low | x) & top).bit_count()
+        finish(table, room)
+        return
     for key, value in list(table.items()):
-        if finish is None:
-            if value > base + (((key & low) + low | key) & top).bit_count():
-                del table[key]
-            continue
-        kept = value
-        if base is not None:
-            room = base + (((key[0] & low) + low | key[0]) & top).bit_count()
-            if max(value.values()) > room:
-                kept = {code: w for code, w in value.items() if w <= room}
-        kept = finish(key, kept) if kept else None
-        if kept is None:
+        if value > base + (((key & low) + low | key) & top).bit_count():
             del table[key]
-        elif kept is not value:
-            table[key] = kept
 
 
 def run_dp(
@@ -169,12 +163,12 @@ def run_dp(
     A label table maps a key, its labels in fields of `width` bits, to the
     deletions its partial solution has forgotten; C4 and paw map a key
     (labels, ...) to a {code: weight} dict.  `budget` prunes as the module
-    docstring says; then `finish(key, entries)`, for dict tables, returns
-    each entry's dict to keep, or None to drop it.  A bag vertex outside g
-    raises ValueError.  With a `bound`, every table is asserted to hold at
-    most bound^|bag| keys.  The largest table size is folded into
-    `stats["max_table_size"]`, and the number of entries stored over all
-    nodes is added to `stats["table_entries"]`.
+    docstring says; `finish(table, room)`, for dict tables, changes each
+    node's table in place, `room` None without a budget and at forget
+    nodes.  A bag vertex outside g raises ValueError.  With a `bound`,
+    every table is asserted to hold at most bound^|bag| keys.  The largest
+    table size is folded into `stats["max_table_size"]`, and the number of
+    entries stored over all nodes is added to `stats["table_entries"]`.
     """
     check_bags(g, ntd)
     tables: list[dict | None] = [None] * len(ntd)

@@ -144,19 +144,25 @@ def test_paw_join_merges_cycle_degrees_as_merge_rows():
             kinds[(cycle & -cycle).bit_length() - 1] = 0
             cycle &= cycle - 1
         counts = [(adj[p] & cycle).bit_count() for p in range(n)]
+        # Every key holds the code with one block, so the left keys count
+        # c = 1 and the right ones the count both sides share (the ground
+        # vertices and v0 less the ground edges): every joined key keeps
+        # c = 1, which that code's meet matches.
         code = (0,) * (ground.bit_count() + 1)
+        edges = sum((adj[p] & ground).bit_count() for p in bits(ground)) // 2
+        shared_c = ground.bit_count() + 1 - edges
 
-        def side():
+        def side(c):
             table = {}
             for _ in range(8):
                 labels = tuple(
                     rng.randrange(1 + counts[p], 4) if kinds[p] == 1 else (0, 0, _GROUND)[kinds[p]]
                     for p in range(n)
                 )
-                table[labels] = rng.randrange(1, 4)
+                table[labels] = c
             return table
 
-        left, right = side(), side()
+        left, right = side(1), side(shared_c)
         want = set()
         for labels1 in left:
             for labels2 in right:

@@ -4,8 +4,26 @@ from itertools import product
 
 import pytest
 
-from hitminor import Partition, WeightedPartitionSet, all_partitions
-from hitminor.partitions import drop_code, insert_glue, meet_codes, reduce_codes
+from hitminor import (
+    Graph,
+    Partition,
+    WeightedPartitionSet,
+    all_partitions,
+    heuristic_td,
+    make_nice,
+    solve_c4,
+    solve_paw,
+)
+from hitminor.partitions import (
+    attach,
+    drop_code,
+    glue_set,
+    insert_glue,
+    map_set,
+    meet_codes,
+    meet_sets,
+    reduce_codes,
+)
 
 from corpus import (
     blocksof,
@@ -368,3 +386,63 @@ class TestCodeKernelsMatchReference:
                     break
         assert min(ops.values()) >= 100, ops
         assert dropped >= 40, dropped
+
+
+class TestBlockMergingKernels:
+    """The set operations that merge blocks, over every partition of up to
+    six positions: `attach` against the meet with {i, last} and a projecting
+    drop, and `glue_set`/`meet_sets` with a target block count against
+    their unfiltered output filtered afterwards."""
+
+    CODES = {n: [p.code for p in all_partitions(range(n))] for n in range(1, 7)}
+
+    def test_attach_is_meet_with_last_then_drop(self):
+        for n, codes in self.CODES.items():
+            entries = {code: k % 3 for k, code in enumerate(codes)}
+            for i in range(n):
+                last = tuple(range(n - 1)) + (i,)
+                for code in codes:
+                    merged = meet_codes(code, last)
+                    one_less = len(set(merged)) == len(set(code)) - 1
+                    assert attach(code, i) == (drop_code(merged, i, True) if one_less else None)
+                # The set form: the old construction on the codes whose
+                # block count the meet lowers by one.
+                lowered = {
+                    code: w
+                    for code, w in entries.items()
+                    if len(set(meet_codes(code, last))) == len(set(code)) - 1
+                }
+                old = map_set(meet_sets(lowered, {last: 0}, None), drop_code, i, True)
+                assert map_set(entries, attach, i) == old
+
+    def test_glue_keeps_the_target_block_count(self):
+        for n, codes in self.CODES.items():
+            if n == 6:
+                continue  # glue inserts a position: six at most
+            entries = {code: k % 3 for k, code in enumerate(codes)}
+            for i in range(n + 1):
+                for mask in range(1 << n + 1):
+                    glue = [j for j in range(n + 1) if mask >> j & 1]
+                    full = glue_set(entries, i, glue, None)
+                    for b in range(1, n + 2):
+                        want = {c: w for c, w in full.items() if len(set(c)) == b}
+                        assert glue_set(entries, i, glue, b) == want
+
+    def test_meet_keeps_the_target_block_count(self):
+        for n, codes in self.CODES.items():
+            left = {code: k % 4 for k, code in enumerate(codes)}
+            right = {code: k % 3 for k, code in enumerate(codes)}
+            full = meet_sets(left, right, None)
+            for b in range(1, n + 1):
+                want = {c: w for c, w in full.items() if len(set(c)) == b}
+                assert meet_sets(left, right, b) == want
+
+    @pytest.mark.parametrize("solver", [solve_c4, solve_paw], ids=["c4", "paw"])
+    def test_a_tree_keeps_one_code_per_key(self, solver):
+        # On a tree each key's count fixes its one code; the largest
+        # partition set is 1, not 0, although no set is ever reduced.
+        rng = random.Random(4)
+        g = Graph(30, [(rng.randrange(v), v) for v in range(1, 30)])
+        stats = {}
+        assert solver(g, make_nice(heuristic_td(g), g), stats) == 0
+        assert stats["max_partition_set_size"] == 1

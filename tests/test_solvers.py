@@ -422,7 +422,7 @@ def _bag_view(g: Graph, bag, kept: int) -> Graph:
     return Graph(v0 + 1, edges)
 
 
-def _stored_tables(monkeypatch, solver, g):
+def _stored_tables(monkeypatch, solver, g, budget=None):
     """Every (node, table) a C4/paw solve keeps after `finish`."""
     import hitminor.solvers.connectivity as conn
 
@@ -447,16 +447,38 @@ def _stored_tables(monkeypatch, solver, g):
         return root
 
     monkeypatch.setattr(conn, "run_dp", spy_run_dp)
-    solver(g, make_nice(heuristic_td(g), g))
+    solver(g, make_nice(heuristic_td(g), g), budget=budget)
     assert seen
     return seen
 
 
+class TestCodesMatchTheirCount:
+    """Every stored code has as many blocks as its key's component count
+    c.  Only glue, the v0-edge and the join merge blocks, and each drops a
+    code whose count misses its target, so no node's table holds one."""
+
+    @pytest.mark.parametrize("solver", [solve_c4, solve_paw], ids=["c4", "paw"])
+    def test_every_code_has_c_blocks(self, monkeypatch, solver):
+        rng = random.Random(21)
+        nodes = 0
+        for _ in range(6):
+            g = random_graph(8, 0.4, rng)
+            opt = solver(g, make_nice(heuristic_td(g), g))
+            for budget in (None, opt - 1, opt):
+                for _, table in _stored_tables(monkeypatch, solver, g, budget):
+                    for (_, _, c), entries in table.items():
+                        assert entries
+                        assert all(len(set(code)) == c for code in entries)
+                    nodes += 1
+        assert nodes > 100
+
+
 class TestDeadKeysStayAbsent:
-    """The component count at `finish` is the solvers' only cycle check;
-    these confirm no key with a bad bag view survives it.  Both solvers key
-    their tables by (labels, redges, c), the labels packed `_W` bits per
-    position, and the ground positions are those labelled `_GROUND`."""
+    """The component count c, which every code's block count matches, is
+    the solvers' only cycle check; these confirm no key with a bad bag view
+    survives it.  Both solvers key their tables by (labels, redges, c), the
+    labels packed `_W` bits per position, and the ground positions are those
+    labelled `_GROUND`."""
 
     def test_c4_tables_only_hold_viable_bag_views(self, monkeypatch):
         from hitminor.solvers.connectivity import _GROUND, _W
