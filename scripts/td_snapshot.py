@@ -1,20 +1,22 @@
-"""Print the heuristic tree decomposition of a fixed, seeded graph set, one
-line per graph.
+"""Print the heuristic tree decomposition of a fixed, seeded graph set, and
+its nice form, one line per graph.
 
 Run it on two checkouts and diff the outputs to see which graphs a change
-to `heuristic_td` touches, and how their width and node count move:
+to `heuristic_td` or `make_nice` touches, and how their width and node
+count move:
 
     PYTHONPATH=src python scripts/td_snapshot.py > td.txt
 
 Each line is: name, n, m, width, the MMD+ lower bound on treewidth that
 the decomposition carries (the width is proven optimal when the two are
-equal), node count, and a SHA-256 prefix of the bags (each sorted, in node
-order) and the tree edges (in the order returned).  Graphs: the instances
-of `answer_snapshot.py` (200 G(n <= 14), the ten frozen acceptance
-instances, the 3x12 grid, G(18, 0.3), the 2x40, 3x40 and 4x40 grids), 100
-G(n <= 40, p <= 0.5) from `random.Random(2025)`, grids of up to 600
-vertices, bandwidth-2..4 graphs and random recursive trees of 50-600
-vertices.
+equal), node count, a SHA-256 prefix of the bags (each sorted, in node
+order) and the tree edges (in the order returned), and a SHA-256 prefix of
+`make_nice(td, g)`: its kinds, vertices, bags and children, in node order.
+Graphs: the instances of `answer_snapshot.py` (200 G(n <= 14), the ten
+frozen acceptance instances, the 3x12 grid, G(18, 0.3), the 2x40, 3x40 and
+4x40 grids), 100 G(n <= 40, p <= 0.5) from `random.Random(2025)`, grids of
+up to 600 vertices, bandwidth-2..4 graphs and random recursive trees of
+50-600 vertices.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import random
 
 from answer_snapshot import instances as answer_instances
 from answer_snapshot import random_graph
-from hitminor import Graph, heuristic_td
+from hitminor import Graph, heuristic_td, make_nice
 from hitminor.graph import grid_graph
 
 
@@ -67,12 +69,19 @@ def graphs():
             yield f"tree{n}-seed{seed}", random_tree(n, random.Random(seed))
 
 
+def digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
 def main() -> None:
     for name, g in graphs():
         td = heuristic_td(g)
-        blob = repr(([tuple(sorted(b)) for b in td.bags], td.edges)).encode()
-        digest = hashlib.sha256(blob).hexdigest()[:16]
-        print(name, g.n, g.m, td.width, td.lower_bound, td.num_nodes, digest)
+        nice = make_nice(td, g)
+        print(
+            name, g.n, g.m, td.width, td.lower_bound, td.num_nodes,
+            digest(([tuple(sorted(b)) for b in td.bags], td.edges)),
+            digest((nice.kinds, nice.vertex, nice.bags, nice.children)),
+        )
 
 
 if __name__ == "__main__":

@@ -311,7 +311,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (FormatError, InvalidDecomposition, UnicodeDecodeError) as exc:
-        # A supplied .td is validated only inside the solve's make_nice.
+        # A supplied .td: parse_td rejects edges that do not form a tree,
+        # and the solve's make_nice validates the bags against the graph.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except ValueError as exc:

@@ -94,11 +94,6 @@ def pattern_graph(p: Pattern) -> Graph:
     raise AssertionError(p.kind)
 
 
-def diamond_graph() -> Graph:
-    """K4 minus one edge."""
-    return Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-
-
 def is_free(g: Graph, p: Pattern, deleted: frozenset[int] = frozenset()) -> bool:
     """True iff g - deleted contains no topological-minor model of the pattern."""
     return is_free_explain(g, p, deleted)[0]

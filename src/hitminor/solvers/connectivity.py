@@ -215,7 +215,10 @@ def _c4_growth(bag, adj: list[int], pos: int, kept: int):
     nbrs = adj[pos] & kept  # v's kept neighbours in g
     nbr_pos = bits(nbrs)
     # Each neighbour's partners among v's other neighbours.  Two partners
-    # would put edge vq into two new triangles: a diamond.
+    # would put edge vq into two new triangles: a diamond.  This is an early
+    # exit: `dc` would then count fewer triangles than the glue merges
+    # blocks, so `glue_set`'s block-count filter would drop every code too.
+    # It stays until that is proved.
     partners = [adj[q] & nbrs for q in nbr_pos]
     if any(m & (m - 1) for m in partners):
         return None

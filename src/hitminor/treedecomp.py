@@ -54,37 +54,41 @@ class TreeDecomposition:
         return max((len(b) for b in self.bags), default=0) - 1
 
 
-def _edges_form_tree(num_nodes: int, edges: list[tuple[int, int]]) -> bool:
-    if num_nodes == 0:
-        return not edges
-    if len(edges) != num_nodes - 1:
-        return False
+def _rooted(
+    num_nodes: int, edges: list[tuple[int, int]]
+) -> tuple[list[list[int]], list[int]] | None:
+    """The tree `edges` rooted at node 0: each node's children in ascending
+    order, and a preorder that visits them in that order.  None when the
+    edges do not form a tree over nodes 0..num_nodes-1."""
+    if len(edges) != max(num_nodes - 1, 0):
+        return None
     adj: list[list[int]] = [[] for _ in range(num_nodes)]
     for a, b in edges:
         if not (0 <= a < num_nodes and 0 <= b < num_nodes) or a == b:
-            return False
+            return None
         adj[a].append(b)
         adj[b].append(a)
-    seen = [False] * num_nodes
-    stack = [0]
-    seen[0] = True
-    count = 1
+    children: list[list[int]] = [[] for _ in range(num_nodes)]
+    order: list[int] = []
+    # A node is marked when pushed, so a repeated edge cannot reach it twice.
+    seen = [True] + [False] * (num_nodes - 1)
+    stack = [0] if num_nodes else []
     while stack:
         x = stack.pop()
-        for y in adj[x]:
+        order.append(x)
+        for y in sorted(adj[x]):
             if not seen[y]:
                 seen[y] = True
-                count += 1
-                stack.append(y)
-    return count == num_nodes
+                children[x].append(y)
+        stack.extend(reversed(children[x]))
+    return (children, order) if len(order) == num_nodes else None
 
 
 def validate_td(g: Graph, td: TreeDecomposition) -> list[str]:
     """All axiom violations; empty list means the decomposition is valid."""
+    if _rooted(td.num_nodes, td.edges) is None:
+        return ["structure: tree edges do not form a tree"]
     violations: list[str] = []
-    if not _edges_form_tree(td.num_nodes, td.edges):
-        violations.append("structure: tree edges do not form a tree")
-        return violations
     # holders[v]: the nodes whose bag contains v, built in one pass.
     holders: list[list[int]] = [[] for _ in range(g.n)]
     for i, bag in enumerate(td.bags):
@@ -433,31 +437,13 @@ class NiceTreeDecomposition:
         return TreeDecomposition(bags=bags, edges=edges)
 
 
-def _rooted_children(td: TreeDecomposition, root: int) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(td.num_nodes)]
-    for a, b in td.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    children: list[list[int]] = [[] for _ in range(td.num_nodes)]
-    parent = [-1] * td.num_nodes
-    parent[root] = root
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y in sorted(adj[x]):
-            if parent[y] == -1:
-                parent[y] = x
-                children[x].append(y)
-                stack.append(y)
-    return children
-
-
 def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
     """Convert a decomposition to nice form of the same width.
 
     Raises InvalidDecomposition (a ValueError), listing every violation,
-    when `td` is not a valid decomposition of g; this is the only validation
-    a solve runs.
+    when `td` is not a valid decomposition of g.  The other checks are
+    narrower: `parse_td` tests only that a .td file's edges form a tree, and
+    `run_dp`'s `check_bags` only that no nice bag holds a vertex outside g.
     """
     violations = validate_td(g, td)
     if violations:
@@ -469,7 +455,7 @@ def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
         nice._append(LEAF, None, (), ())
         return nice
 
-    children = _rooted_children(td, 0)
+    children, order = _rooted(td.num_nodes, td.edges)
 
     def transition(top: int, frm: frozenset[int], to: frozenset[int]) -> int:
         node = top
@@ -482,16 +468,10 @@ def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
             node = nice._append(INTRODUCE, v, tuple(sorted(cur)), (node,))
         return node
 
-    # Iterative post-order over the original decomposition.
+    # Reversed preorder: a post-order taking each node's children last to
+    # first, so every child's top exists before its parent is built.
     tops: dict[int, int] = {}
-    stack: list[tuple[int, bool]] = [(0, False)]
-    while stack:
-        t, expanded = stack.pop()
-        if not expanded:
-            stack.append((t, True))
-            for c in children[t]:
-                stack.append((c, False))
-            continue
+    for t in reversed(order):
         # The branches join on the part of the bag they hold between them,
         # and the rest of the bag is introduced once, above the last join.
         bag = td.bags[t]
@@ -610,7 +590,7 @@ def parse_td(text: str) -> TreeDecomposition:
         raise FormatError("missing 's td' header")
     num_bags = header[0]
     all_bags = [bags.get(i, frozenset()) for i in range(num_bags)]
-    if not _edges_form_tree(num_bags, edges):
+    if _rooted(num_bags, edges) is None:
         raise FormatError("tree edges do not form a tree")
     return TreeDecomposition(bags=all_bags, edges=edges)
 

@@ -115,3 +115,23 @@ def test_answer_snapshot_answers_are_pinned():
     assert len(answers) == 1284
     digest = hashlib.sha256("".join(f"{line}\n" for line in answers).encode())
     assert digest.hexdigest() == ANSWERS_SHA256
+
+
+# SHA-256 of the full output of scripts/td_snapshot.py: every heuristic
+# decomposition and its nice form, node for node.  A change that alters
+# decompositions on purpose updates this digest and says so in CHANGES.md.
+TD_SNAPSHOT_SHA256 = "89bf2b2f1799dd1571108abf5cad0bb6f88d62e50542c347ede3684810b04d82"
+
+
+def test_td_snapshot_is_pinned():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "td_snapshot.py")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert len(done.stdout.splitlines()) == 396
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == TD_SNAPSHOT_SHA256

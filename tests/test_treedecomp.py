@@ -6,6 +6,7 @@ from hitminor import (
     FormatError,
     Graph,
     GuardError,
+    InvalidDecomposition,
     TreeDecomposition,
     augment_universal,
     exact_td_small,
@@ -174,6 +175,23 @@ class TestValidate:
             bags=[frozenset({0, 1}), frozenset({0, 1})], edges=[]
         )
         assert any("tree" in v for v in validate_td(g, td))
+
+    @pytest.mark.parametrize(
+        "num_nodes, edges",
+        [(3, [(0, 1), (1, 0)]), (4, [(0, 1), (1, 2), (2, 0)])],
+        ids=["repeated-edge", "triangle-and-unreached-node"],
+    )
+    def test_tree_edge_count_without_a_tree(self, num_nodes, edges):
+        """num_nodes - 1 edges that leave a node unreached: a walk that
+        marks nodes only when popped would reach one of them twice and count
+        every node."""
+        g = Graph(num_nodes)
+        td = TreeDecomposition(bags=[frozenset({v}) for v in range(num_nodes)], edges=edges)
+        assert validate_td(g, td) == ["structure: tree edges do not form a tree"]
+        with pytest.raises(FormatError, match="tree"):
+            parse_td(write_td(td, g.n))
+        with pytest.raises(InvalidDecomposition):
+            make_nice(td, g)
 
 
 class TestHeuristic:
