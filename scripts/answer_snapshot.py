@@ -16,9 +16,11 @@ acceptance tests, the 3x12 grid and G(18, 0.3) drawn from `random.Random(7)`;
 the label solvers also get the 2x40, 3x40 and 4x40 grids.  Lines starting
 with '#' carry, for the minimize run and each decide run, the largest table
 (`max_table_size`), the entries stored over all nodes (`table_entries`, the
-DP's total work) and, for C4 and paw, the largest partition set; a change
-may legitimately alter them.  To compare two checkouts' table sizes, run
-this script against each checkout's `src/`.
+DP's total work) and, for C4 and paw, the largest partition set; C4 and paw
+count their tables in stored (key, code) entries.  A change may
+legitimately alter these lines.  `tests/test_scripts.py` pins a digest of
+the answer lines and one of the whole output.  To compare two checkouts'
+table sizes, run this script against each checkout's `src/`.
 """
 
 from __future__ import annotations

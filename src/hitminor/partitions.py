@@ -2,8 +2,10 @@
 
 The kernels work on codes: a partition of the positions 0..n-1 of an ordered
 ground set is the tuple whose entry i is the least position in i's block.
-The set operations on weighted sets, {code: weight} dicts, live here once;
-the connectivity solvers call them on their table entries.
+The connectivity solvers call them once per stored code, on at most w + 2
+positions, so each kernel, a pure function of codes and small ints, is an
+`lru_cache` of one fixed size that holds no graph, key or weight.  The set
+operations on weighted sets, {code: weight} dicts, serve the view below.
 
 `Partition` and `WeightedPartitionSet` are the vertex-id view: a Partition
 holds a sorted ground tuple and its code, and every WeightedPartitionSet
@@ -18,15 +20,22 @@ matrix has 2^(|U|-1) columns, and that rank bounds the subset's size.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 Code = tuple[int, ...]
+
+# All of scripts/answer_snapshot.py calls a kernel on at most 1,546 distinct
+# arguments (`insert_glue`); a full cache holds about 0.6 MB.
+_KERNEL_CACHE = 2048
+_kernel = lru_cache(maxsize=_KERNEL_CACHE)
 
 
 # -- code kernels -------------------------------------------------------------
 
 
-def insert_glue(code: Code, i: int, glue: Iterable[int]) -> Code:
+@_kernel
+def insert_glue(code: Code, i: int, glue: tuple[int, ...]) -> Code:
     """Insert a singleton at position i, then merge the blocks of the
     positions in `glue` (positions after the insertion) into one."""
     out = [r + 1 if r >= i else r for r in code]
@@ -38,6 +47,7 @@ def insert_glue(code: Code, i: int, glue: Iterable[int]) -> Code:
     return tuple(out)
 
 
+@_kernel
 def drop_code(code: Code, i: int, project: bool) -> Code | None:
     """Remove position i.  With `project`, None when i's block holds no
     other position."""
@@ -46,6 +56,7 @@ def drop_code(code: Code, i: int, project: bool) -> Code | None:
     return _remove(code, i, i, i)
 
 
+@_kernel
 def attach(code: Code, i: int) -> Code | None:
     """Merge i's block with that of the last position, then remove i; None
     when i's block holds the last position already."""
@@ -75,6 +86,7 @@ def _remove(code: Code, i: int, lead: int, other: int) -> Code:
     return tuple(out)
 
 
+@_kernel
 def meet_codes(a: Code, b: Code) -> Code:
     """Finest partition coarser than both (transitive block merging)."""
     if a == b:
@@ -99,6 +111,12 @@ def meet_codes(a: Code, b: Code) -> Code:
     return tuple(parent)
 
 
+@_kernel
+def block_count(code: Code) -> int:
+    return len(set(code))
+
+
+@_kernel
 def _cut_row(code: Code) -> int:
     """Row of the cut matrix: bit set at cut V2 iff every block lies wholly
     on one side of (V1, V2), position 0 fixed on the V1 side.  Column V2 is
@@ -140,9 +158,10 @@ def reduce_codes(entries: dict[Code, int]) -> dict[Code, int]:
 
 
 # -- weighted sets ------------------------------------------------------------
-# A weighted set maps codes of one length to weights.  Sets may be shared, so
-# no operation changes one: each builds a new dict, keeping the least weight
-# of codes that coincide (`w < out.get(code, w + 1)`, inlined per entry).
+# A weighted set maps codes of one length to weights.  The vertex-id view
+# below runs on these; the solvers call the kernels per code instead.  Sets
+# may be shared, so no operation changes one: each builds a new dict, keeping
+# the least weight of codes that coincide (`w < out.get(code, w + 1)`).
 # `shift_set` and `union_into` never look inside a key, so they serve
 # Partition-keyed weights too.
 
@@ -150,10 +169,11 @@ def reduce_codes(entries: dict[Code, int]) -> dict[Code, int]:
 def glue_set(entries: dict, i: int, glue: Iterable[int], blocks: int | None) -> dict:
     """`insert_glue` on every code, keeping those of `blocks` blocks (all if
     None)."""
+    glue = tuple(glue)
     out: dict = {}
     for code, w in entries.items():
         code = insert_glue(code, i, glue)
-        if (blocks is None or len(set(code)) == blocks) and w < out.get(code, w + 1):
+        if (blocks is None or block_count(code) == blocks) and w < out.get(code, w + 1):
             out[code] = w
     return out
 
@@ -176,7 +196,7 @@ def meet_sets(left: dict, right: dict, blocks: int | None) -> dict:
         for c2, w2 in right.items():
             code = meet_codes(c1, c2)
             w = w1 + w2
-            if (blocks is None or len(set(code)) == blocks) and w < out.get(code, w + 1):
+            if (blocks is None or block_count(code) == blocks) and w < out.get(code, w + 1):
                 out[code] = w
     return out
 

@@ -13,20 +13,20 @@ with no carry.  `redges` holds the ground bag edges that lie in a triangle,
 as vertex-id pairs that survive bag changes (empty for paw, whose forest
 has none), and c counts ground components (below).
 
-Each key maps to a {code: weight} dict of partitions of the ground bag
-vertices plus v0 (their connectivity classes), combined by the set
-operations of `partitions`.  A code lists, for each ground position in bag
-order and then for v0, the least position in its block; bags are sorted, so
-position order is vertex-id order.  A weight counts the deleted vertices the
-partial solution has forgotten: each deletion is paid once, at its forget
-node.  After every node each set of two or more codes is shrunk to a
-min-weight representative subset, which keeps the tables single-exponential
-in the bag size.  The answer is the least weight at the root, where v0 alone
-is left; with a budget, an entry goes as soon as its weight plus its key's
-deleted bag vertices exceeds it.  Each component takes one edge to v0, at
-the forget node of one of its vertices, so no key records one: a forgotten
-ground position leaves as it is, which needs another position in its
-block, or takes its component's v0-edge first.
+A table maps (labels, redges, c, code) to the least weight, each hook
+working entry by entry through the cached kernels of `partitions`.  A code
+is a partition of the ground bag vertices plus v0 (their connectivity
+classes): for each ground position in bag order and then for v0, the least
+position in its block.  A weight counts the deleted vertices the partial
+solution has forgotten: each deletion is paid once, at its forget node.
+After every node the codes of each key that holds four or more are shrunk
+to a min-weight representative subset, which keeps the tables
+single-exponential in the bag size.  The answer is the least weight at the
+root, where v0 alone is left; with a budget, an entry goes as soon as its
+weight plus its key's deleted bag vertices exceeds it.  Each component
+takes one edge to v0, at the forget node of one of its vertices, so no key
+records one: a forgotten ground position leaves as it is, which needs
+another position in its block, or takes its component's v0-edge first.
 
 Correctness rests on a counter rather than on local cycle checks: a kept
 graph whose blocks are edges and triangles (C4-free) with i vertices, j
@@ -43,7 +43,7 @@ The two solvers share the reduction (`finish`, run on each node's table,
 which also drops codes over the budget), one forget and one join; each
 supplies its introduce, which reads the new vertex's bag neighbours from
 the engine's bag adjacency bitmasks, and the labels that may not be
-forgotten.  A join pairs keys whose positions agree on their kind (deleted,
+forgotten.  A join pairs entries whose positions agree on their kind (deleted,
 cycle or ground), adds them, subtracts once what both sides counted, as the
 bounded-degree join does, and rejects a cycle degree above 2 with one
 guard-bit test.
@@ -51,11 +51,12 @@ guard-bit test.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
+from operator import itemgetter
 
 from ..graph import Graph
-from ..partitions import attach, drop_code, glue_set, map_set, meet_sets, reduce_codes
-from ..partitions import shift_set, union_into
+from ..partitions import attach, block_count, drop_code, insert_glue, meet_codes, reduce_codes
 from ..treedecomp import NiceTreeDecomposition
 from .engine import bits, field_mask, guard_fills, kept_counts, run_dp, spread
 
@@ -63,6 +64,10 @@ _W = 4
 _GROUND = 4
 # Paw's cycle labels of degree below 2, which may not be forgotten.
 _OPEN = (1, 2)
+# The empty bag's one viable entry, v0 alone: the leaf's and the root's.
+_EMPTY = (0, frozenset(), 1, (0,))
+# An entry's (labels, redges, c), whose codes `finish` reduces together.
+_head = itemgetter(slice(3))
 
 
 def _ground_bits(n: int) -> int:
@@ -96,19 +101,24 @@ def _forget(stay: tuple[int, ...], v: int, cpos: int, child: dict) -> dict:
     # The ground bits below cpos: their count is cpos's ground index.
     below = _ground_bits(cpos)
     out: dict = {}
-    for (key_c, redges, c), entries in child.items():
+    for (key_c, redges, c, code), w in child.items():
         x = key_c >> shift & 0b1111
         if x in stay:
             continue
         key = key_c & low | (key_c >> shift + _W) << shift
-        if x != _GROUND:
-            union_into(out, (key, redges, c), entries if x else shift_set(entries, 1))
-            continue
-        if redges:
-            redges = frozenset(e for e in redges if v not in e)
-        i = (key_c & below).bit_count()
-        union_into(out, (key, redges, c), map_set(entries, drop_code, i, True))
-        union_into(out, (key, redges, c - 1), map_set(entries, attach, i))
+        if x == _GROUND:
+            if redges:
+                redges = frozenset(e for e in redges if v not in e)
+            i = (key_c & below).bit_count()
+            images = ((drop_code(code, i, True), c), (attach(code, i), c - 1))
+        else:
+            images = ((code, c),)
+            w += not x  # a deleted vertex (label 0) is paid for here
+        for new, c_new in images:
+            if new is not None:
+                entry = (key, redges, c_new, new)
+                if w < out.get(entry, w + 1):
+                    out[entry] = w
     return out
 
 
@@ -118,7 +128,7 @@ def _join(adj: list[int], left: dict, right: dict) -> dict:
     guard = ones << _W - 1
     # A key's kinds: 4 in a ground field, 1 in a cycle field, 0 if deleted.
     grouped: dict[int, tuple] = {}
-    for (key, redges, c), entries in right.items():
+    for (key, redges, c, code), w in right.items():
         kinds = key & ground_bits | (key | key >> 1) & ones
         group = grouped.get(kinds)
         if group is None:
@@ -131,15 +141,15 @@ def _join(adj: list[int], left: dict, right: dict) -> dict:
             shared_c = ground.bit_count() + 1 - edges + tris
             # 4 more sets a cycle field's guard bit where its degree passes 2.
             group = grouped[kinds] = (shared, (kinds & ones) << 2, shared_c, 3 * tris, [])
-        group[4].append((key, redges, c, entries))
+        group[4].append((key, redges, c, code, w))
     out: dict = {}
-    for (key1, redges1, c1), entries1 in left.items():
+    for (key1, redges1, c1, code1), w1 in left.items():
         group = grouped.get(key1 & ground_bits | (key1 | key1 >> 1) & ones)
         if group is None:
             continue
         shared, over, shared_c, tri_edge_count, bucket = group
         base = key1 - shared
-        for key2, redges2, c2, entries2 in bucket:
+        for key2, redges2, c2, code2, w2 in bucket:
             # Both sides hold every edge of the bag's triangles, which are
             # edge-disjoint; any further shared edge would glue two
             # triangles onto one edge.
@@ -148,8 +158,14 @@ def _join(adj: list[int], left: dict, right: dict) -> dict:
             key = base + key2
             if (key + over) & guard:
                 continue
+            code = meet_codes(code1, code2)
             c = c1 + c2 - shared_c
-            union_into(out, (key, redges1 | redges2, c), meet_sets(entries1, entries2, c))
+            if block_count(code) != c:
+                continue
+            entry = (key, redges1 | redges2, c, code)
+            w = w1 + w2
+            if w < out.get(entry, w + 1):
+                out[entry] = w
     return out
 
 
@@ -160,32 +176,34 @@ def _dp(g, ntd, budget, stats, introduce, stay) -> int | None:
     max_pset = 0
 
     def finish(table: dict, room) -> None:
-        # Drop the codes over a key's budget room, then reduce sets of two or
-        # more; a set kept whole stays the stored dict, which keys may share.
+        # Drop the entries over their budget room, then reduce the codes of
+        # each key that holds four or more.  Distinct codes have distinct
+        # cut rows, each with bit 0 set (the cut whose V2 side is empty), so
+        # the XOR of two rows is no third row: `reduce_codes` keeps any three.
         nonlocal max_pset
-        for key, entries in list(table.items()):
-            if room is not None:
-                limit = room(key[0])
-                kept = {code: w for code, w in entries.items() if w <= limit}
-                if len(kept) < len(entries):
-                    if not kept:
-                        del table[key]
-                        continue
-                    entries = table[key] = kept
-            if len(entries) > 1:
-                entries = table[key] = reduce_codes(entries)
-                assert len(entries) <= 1 << len(next(iter(entries))) - 1
-            if len(entries) > max_pset:
-                max_pset = len(entries)
+        if room is not None:
+            for entry in [entry for entry, w in table.items() if w > room(entry[0])]:
+                del table[entry]
+        sizes = Counter(map(_head, table))
+        sets = {head: {} for head, n in sizes.items() if n > 3}
+        if sets:
+            for entry, w in table.items():
+                codes = sets.get(entry[:3])
+                if codes is not None:
+                    codes[entry[3]] = w
+            for head, codes in sets.items():
+                kept = reduce_codes(codes)
+                assert len(kept) <= 1 << len(next(iter(kept))) - 1
+                for code in codes.keys() - kept.keys():
+                    del table[(*head, code)]
+                sizes[head] = len(kept)
+        max_pset = max(max_pset, *sizes.values(), 0)
 
     hooks = (introduce, partial(_forget, stay), _join)
-    # The empty bag's one viable key and code, v0 alone: the leaf's and root's.
-    empty = (0, frozenset(), 1)
-    leaf = {empty: {(0,): 0}}.copy
-    root_table = run_dp(g, ntd, leaf, *hooks, _W, finish, budget, stats=stats)
+    root_table = run_dp(g, ntd, {_EMPTY: 0}.copy, *hooks, _W, finish, budget, stats=stats)
     if stats is not None:
         stats["max_partition_set_size"] = max(stats.get("max_partition_set_size", 0), max_pset)
-    return root_table.get(empty, {}).get((0,))
+    return root_table.get(_EMPTY)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +235,8 @@ def _c4_growth(bag, adj: list[int], pos: int, kept: int):
     # Each neighbour's partners among v's other neighbours.  Two partners
     # would put edge vq into two new triangles: a diamond.  This is an early
     # exit: `dc` would then count fewer triangles than the glue merges
-    # blocks, so `glue_set`'s block-count filter would drop every code too.
-    # It stays until that is proved.
+    # blocks, so the block-count test would drop every code too.  It stays
+    # until that is proved.
     partners = [adj[q] & nbrs for q in nbr_pos]
     if any(m & (m - 1) for m in partners):
         return None
@@ -231,7 +249,7 @@ def _c4_growth(bag, adj: list[int], pos: int, kept: int):
     # Ground indices over the new kept mask; v0 follows them.
     ground = kept | 1 << pos
     i, *glue = [(ground & ((1 << q) - 1)).bit_count() for q in (pos, *nbr_pos)]
-    return new_tris, dc, i, glue + [i]
+    return new_tris, dc, i, (*glue, i)
 
 
 def _c4_introduce(bag, adj: list[int], pos: int, child: dict) -> dict:
@@ -241,21 +259,26 @@ def _c4_introduce(bag, adj: list[int], pos: int, child: dict) -> dict:
     # The new keys and the kept vertex's growth depend only on the child's
     # packed labels, so each distinct one builds them once.
     views: dict = {}
-    for (key_c, redges, c), entries in child.items():
+    for (key_c, redges, c, code), w in child.items():
         view = views.get(key_c)
         if view is None:
             deleted = key_c & low | (key_c >> shift) << shift + _W  # `insert_field`, 0
             growth = _c4_growth(bag, adj, pos, field_mask(deleted, _W))
             view = views[key_c] = (deleted, deleted | _GROUND << shift, growth)
         deleted, grown, growth = view
-        union_into(out, (deleted, redges, c), entries)
+        # Deleting v maps distinct entries to distinct ones.
+        out[deleted, redges, c, code] = w
         if growth is None:
             continue
         new_tris, dc, i, glue = growth
         # An edge gaining a second triangle would form a diamond.
         if not redges.isdisjoint(new_tris):
             continue
-        union_into(out, (grown, redges | new_tris, c + dc), glue_set(entries, i, glue, c + dc))
+        code = insert_glue(code, i, glue)
+        if block_count(code) == c + dc:
+            entry = (grown, redges | new_tris, c + dc, code)
+            if w < out.get(entry, w + 1):
+                out[entry] = w
     return out
 
 
@@ -287,9 +310,11 @@ def _paw_introduce(bag, adj: list[int], pos: int, child: dict) -> dict:
     guard, kept_fill, full_fill = guard_fills(adj[pos], _W, 1, 3)
     fields = guard | kept_fill
     out: dict = {}
-    for (key, redges, c), entries in child.items():
+    for (key, redges, c, code), w in child.items():
         key = key & low | (key >> shift) << shift + _W  # `insert_field`, 0
-        union_into(out, (key, redges, c), entries)
+        # Deleting v, and adding it to the cycle part, map distinct entries
+        # to distinct ones.
+        out[key, redges, c, code] = w
         y = key & fields
         # Forest case: no plain edge may run into the cycle part.
         if not y & ~ground_bits:
@@ -298,7 +323,11 @@ def _paw_introduce(bag, adj: list[int], pos: int, child: dict) -> dict:
             # Ground indices over the forest positions; v0 follows them.
             nbrs = [(grown & m).bit_count() for q, m in nbr_below if key >> _W * q & _GROUND]
             c_f = c + 1 - len(nbrs)
-            union_into(out, (grown, redges, c_f), glue_set(entries, i, nbrs + [i], c_f))
+            glued = insert_glue(code, i, (*nbrs, i))
+            if block_count(glued) == c_f:
+                entry = (grown, redges, c_f, glued)
+                if w < out.get(entry, w + 1):
+                    out[entry] = w
         # Cycle case: neighbours already in the cycle part gain one degree,
         # as in `labeling._bdd_introduce` with d = 2.
         if (y + full_fill) & guard:
@@ -306,5 +335,5 @@ def _paw_introduce(bag, adj: list[int], pos: int, child: dict) -> dict:
         kept = ((y + kept_fill) & guard) >> _W - 1
         n_cycle = kept.bit_count()
         if n_cycle <= 2:
-            union_into(out, (key + kept + ((1 + n_cycle) << shift), redges, c), entries)
+            out[key + kept + ((1 + n_cycle) << shift), redges, c, code] = w
     return out

@@ -13,9 +13,9 @@ alive.
 
 The engine alone sets a decide-mode budget: after each leaf, introduce and
 join node an entry goes when its weight plus its key's deleted bag vertices
-(label 0) exceeds it.  A table of code dicts goes whole to `finish` with
-`room(labels)`, the largest weight a key may keep, and `finish` drops the
-codes above it.  A forget node pays exactly the deletion it drops from the
+(label 0) exceeds it.  A C4 or paw table goes whole to `finish` with
+`room(labels)`, the largest weight an entry with those labels may keep, and
+`finish` drops the entries above it.  A forget node pays exactly the deletion it drops from the
 bag, so it pushes no entry over and is not checked.  A solver whose root
 table is left empty returns None.
 
@@ -23,7 +23,7 @@ Every solver packs its bag vertices' labels into one int: bag position p's
 label is the field of `width` bits at bit width·p, and label 0 (deleted) is
 an all-zero field, so the empty bag's key is 0.  The label tables key an
 entry by that int, C4 and paw by (that int, triangle edges, component
-count).  `get_field`, `insert_field` and `remove_field` read, insert and
+count, partition code).  `get_field`, `insert_field` and `remove_field` read, insert and
 drop one field; a bitmask of bag positions is the width-1 case, `spread`
 widens one into a key with label 1 at each of its positions, and
 `field_mask` narrows a key back to the bitmask of its nonzero fields.  A
@@ -130,8 +130,8 @@ def within(value: int, budget: int | None) -> int | None:
 
 
 def _prune(table: dict, width: int, n: int, base: int | None, finish) -> None:
-    """`run_dp`'s pass over a node's table, of n bag positions: a key's room
-    is `base` (the budget minus n) plus its nonzero label fields."""
+    """`run_dp`'s pass over a node's table, of n bag positions: an entry's
+    room is `base` (the budget minus n) plus its labels' nonzero fields."""
     ones = ((1 << width * n) - 1) // ((1 << width) - 1)
     top = ones << width - 1
     low = top - ones  # (x & low) + low | x sets a field's top bit iff x != 0
@@ -161,11 +161,10 @@ def run_dp(
     of g, and return the root's.
 
     A label table maps a key, its labels in fields of `width` bits, to the
-    deletions its partial solution has forgotten; C4 and paw map a key
-    (labels, ...) to a {code: weight} dict.  `budget` prunes as the module
-    docstring says; `finish(table, room)`, for dict tables, changes each
-    node's table in place, `room` None without a budget and at forget
-    nodes.  A bag vertex outside g raises ValueError.  With a `bound`,
+    deletions its partial solution has forgotten; C4 and paw key an entry
+    by (labels, ..., code).  `budget` prunes as the module docstring says;
+    `finish(table, room)`, which C4 and paw pass, changes each node's table
+    in place, `room` None without a budget and at forget nodes.  A bag vertex outside g raises ValueError.  With a `bound`,
     every table is asserted to hold at most bound^|bag| keys.  The largest
     table size is folded into `stats["max_table_size"]`, and the number of
     entries stored over all nodes is added to `stats["table_entries"]`.

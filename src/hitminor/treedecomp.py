@@ -171,11 +171,11 @@ def _min_fill_order(g: Graph, recency: bool) -> tuple[list[int], list[list[int]]
     w last joined an eliminated vertex's neighbourhood; without it every
     stamp stays 0 and the key is plain min-fill's.  Eliminating v changes
     the stamp, degree and fill of its neighbours only, and the fill of a
-    vertex two steps away only through the fill edges just added, so only
-    those vertices are rescored; when v was simplicial (fill 0) each
-    neighbour's new key follows from its old one in O(1).  The key is a
-    total order, so the result is the one a rescan of every live vertex at
-    each step would give.
+    vertex further away only where a fill edge just added joins two of its
+    neighbours, so only those vertices are rescored; when v was simplicial
+    (fill 0) each neighbour's new key follows from its old one in O(1).  The
+    key is a total order, so the result is the one a rescan of every live
+    vertex at each step would give.
     """
     adj = [set(g.neighbors(v)) for v in range(g.n)]
     key: list[tuple[int, int, int, int] | None] = [
@@ -191,6 +191,9 @@ def _min_fill_order(g: Graph, recency: bool) -> tuple[list[int], list[list[int]]
         if entry is not key[v]:
             continue
         key[v] = None
+        if entry[0]:
+            row = adj[v]
+            fill_edges = [(a, b) for a in row for b in row - adj[a] if a < b]
         nbrs = _eliminate(adj, v)
         order.append(v)
         eliminated.append(nbrs)
@@ -206,7 +209,7 @@ def _min_fill_order(g: Graph, recency: bool) -> tuple[list[int], list[list[int]]
                 key[a] = new
                 heapq.heappush(heap, new)
             continue
-        stamps = {w: key[w][1] for a in nbrs for w in adj[a]}
+        stamps = {w: key[w][1] for a, b in fill_edges for w in adj[a] & adj[b]}
         stamps.update(dict.fromkeys(nbrs, stamp))
         for w, s in stamps.items():
             new = (_fill(adj, w), s, len(adj[w]), w)

@@ -173,10 +173,10 @@ def test_paw_join_merges_cycle_degrees_as_merge_rows():
                 if -1 not in merged:
                     want.add(pack(merged, _W))
         packed = [
-            {(pack(t, _W), frozenset(), c): {code: 0} for t, c in side.items()}
+            {(pack(t, _W), frozenset(), c, code): 0 for t, c in side.items()}
             for side in (left, right)
         ]
-        got = {key for key, _, _ in _join(adj, *packed)}
+        got = {key for key, _, _, _ in _join(adj, *packed)}
         assert got == want
         for key in got:
             for p in range(n):

@@ -1,6 +1,6 @@
 import random
 from bisect import bisect_left
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -15,7 +15,10 @@ from hitminor import (
     solve_paw,
 )
 from hitminor.partitions import (
+    _KERNEL_CACHE,
+    _cut_row,
     attach,
+    block_count,
     drop_code,
     glue_set,
     insert_glue,
@@ -39,6 +42,7 @@ from corpus import (
     naive_rmc,
     naive_shift,
     naive_union,
+    random_graph,
     random_wps,
     wps_to_naive,
 )
@@ -338,7 +342,7 @@ class TestCodeKernelsMatchReference:
                     i = bisect_left(ground, x)
                     s = [e for e in ground if rng.random() < 0.4] + [x]
                     ground.insert(i, x)
-                    glue = [ground.index(e) for e in s]
+                    glue = tuple(ground.index(e) for e in s)
                     ref = naive_glue(s, ref)
                     out = {}
                     for c, w in codes.items():
@@ -446,3 +450,74 @@ class TestBlockMergingKernels:
         stats = {}
         assert solver(g, make_nice(heuristic_td(g), g), stats) == 0
         assert stats["max_partition_set_size"] == 1
+
+
+CODES = {n: [p.code for p in all_partitions(range(n))] for n in range(1, 7)}
+
+
+class TestSmallSetsStayWhole:
+    """Why `connectivity`'s `finish` reduces only keys of four or more
+    codes: distinct codes have distinct cut rows, and every row has bit 0
+    set (the cut whose V2 side is empty), so the XOR of two rows is never a
+    third row, and any three distinct codes are independent."""
+
+    def test_rows_are_distinct_and_hold_the_empty_cut(self):
+        for codes in CODES.values():
+            rows = [_cut_row(code) for code in codes]
+            assert all(row & 1 for row in rows)
+            assert len(set(rows)) == len(codes)
+
+    def test_reduce_keeps_every_set_of_up_to_three(self):
+        for n in range(1, 5):
+            codes = CODES[n]
+            for k, triple in enumerate(combinations(codes, min(3, len(codes)))):
+                entries = {code: (k + j) % 3 for j, code in enumerate(triple)}
+                assert reduce_codes(entries) == entries
+
+
+class TestCachedKernels:
+    """Every code kernel is an `lru_cache` of one fixed, finite size whose
+    results equal the function it wraps."""
+
+    KERNELS = (insert_glue, drop_code, attach, meet_codes, block_count, _cut_row)
+
+    def test_every_cache_is_bounded(self):
+        for kernel in self.KERNELS:
+            assert kernel.cache_info().maxsize == _KERNEL_CACHE > 0
+
+    def test_cached_kernels_equal_their_originals(self):
+        for n, codes in CODES.items():
+            for code in codes:
+                for kernel in (block_count, _cut_row):
+                    assert kernel(code) == kernel.__wrapped__(code)
+                for i in range(n):
+                    assert attach(code, i) == attach.__wrapped__(code, i)
+                    for project in (False, True):
+                        assert drop_code(code, i, project) == drop_code.__wrapped__(
+                            code, i, project
+                        )
+                for other in codes:
+                    assert meet_codes(code, other) == meet_codes.__wrapped__(code, other)
+                if n == 6:
+                    continue  # glue inserts a position: six at most
+                for i, mask in product(range(n + 1), range(1 << n + 1)):
+                    glue = tuple(j for j in range(n + 1) if mask >> j & 1)
+                    assert insert_glue(code, i, glue) == insert_glue.__wrapped__(code, i, glue)
+
+    @pytest.mark.parametrize("solver", [solve_c4, solve_paw], ids=["c4", "paw"])
+    def test_cold_and_warm_caches_solve_alike(self, solver):
+        rng = random.Random(23)
+        for _ in range(3):
+            g = random_graph(11, 0.4, rng)
+            ntd = make_nice(heuristic_td(g), g)
+            opt = solver(g, ntd)
+            for budget in (None, opt - 1, opt):
+                runs = []
+                for cold in (True, False):
+                    if cold:
+                        for kernel in self.KERNELS:
+                            kernel.cache_clear()
+                    stats = {}
+                    runs.append((solver(g, ntd, stats, budget), stats))
+                assert runs[0] == runs[1]
+        assert insert_glue.cache_info().hits > 0

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
@@ -93,15 +95,15 @@ def test_demos_run():
 
 
 # SHA-256 of the answer lines (every line but the '#' table-size lines) of
-# scripts/answer_snapshot.py, each ending in a newline.
+# scripts/answer_snapshot.py, each ending in a newline, and of its full
+# output.  A change that alters table sizes on purpose updates the second
+# digest and says so in CHANGES.md.
 ANSWERS_SHA256 = "5b6e44ef5d94a451a97c4a4c3a2001da186c479c561ee33b7ae34bc828114ee3"
+SNAPSHOT_SHA256 = "6d642d71b6189a273c336a266d1c6d5e400b40c0d0c7d1c5df154674cff9ba34"
 
 
-def test_answer_snapshot_answers_are_pinned():
-    """Every answer of the snapshot stays as pinned: exact minima above the
-    oracle's guard (the 3x12 grid, G(18, 0.3), the 2/3/4x40 grids) and the
-    values C4 and paw return under a budget included.  The '#' lines, table
-    sizes a change may legitimately alter, are left out."""
+@pytest.fixture(scope="module")
+def answer_snapshot() -> str:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, str(SCRIPTS / "answer_snapshot.py")],
@@ -111,10 +113,25 @@ def test_answer_snapshot_answers_are_pinned():
         timeout=300,
         check=True,
     )
-    answers = [line for line in done.stdout.splitlines() if not line.startswith("#")]
+    return done.stdout
+
+
+def test_answer_snapshot_answers_are_pinned(answer_snapshot):
+    """Every answer of the snapshot stays as pinned: exact minima above the
+    oracle's guard (the 3x12 grid, G(18, 0.3), the 2/3/4x40 grids) and the
+    values C4 and paw return under a budget included.  The '#' lines, table
+    sizes a change may legitimately alter, are left out."""
+    answers = [line for line in answer_snapshot.splitlines() if not line.startswith("#")]
     assert len(answers) == 1284
     digest = hashlib.sha256("".join(f"{line}\n" for line in answers).encode())
     assert digest.hexdigest() == ANSWERS_SHA256
+
+
+def test_answer_snapshot_table_sizes_are_pinned(answer_snapshot):
+    """The '#' lines too: every solver's table sizes, C4 and paw counted in
+    stored codes."""
+    assert len(answer_snapshot.splitlines()) == 2568
+    assert hashlib.sha256(answer_snapshot.encode()).hexdigest() == SNAPSHOT_SHA256
 
 
 # SHA-256 of the full output of scripts/td_snapshot.py: every heuristic

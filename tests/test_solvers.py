@@ -423,7 +423,9 @@ def _bag_view(g: Graph, bag, kept: int) -> Graph:
 
 
 def _stored_tables(monkeypatch, solver, g, budget=None):
-    """Every (node, table) a C4/paw solve keeps after `finish`."""
+    """Every (node, table) a C4/paw solve keeps after `finish`, each flat
+    (labels, redges, c, code) -> weight table read as (labels, redges, c)
+    -> {code: weight}."""
     import hitminor.solvers.connectivity as conn
 
     seen = []
@@ -443,7 +445,11 @@ def _stored_tables(monkeypatch, solver, g, budget=None):
 
         hooks = [recorded(hook) for hook in args[:4]]
         root = original(g, ntd, *hooks, *args[4:], **kwargs)
-        seen.extend(zip(ntd.bags, tables))
+        for bag, table in zip(ntd.bags, tables):
+            sets: dict = {}
+            for (*key, code), w in table.items():
+                sets.setdefault(tuple(key), {})[code] = w
+            seen.append((bag, sets))
         return root
 
     monkeypatch.setattr(conn, "run_dp", spy_run_dp)
@@ -531,7 +537,8 @@ class TestPruningStrength:
     each component's v0-edge at a forget node, never at a bag vertex; taking
     it at introduce, as a key field, keeps every answer but about doubles
     their tables (3x12 grid: C4 90 keys, paw 165).  So today's sizes are
-    ceilings: pattern -> (max_table_size, max_partition_set_size).
+    ceilings: pattern -> (max_table_size, max_partition_set_size).  C4 and
+    paw count a table's stored (key, code) entries, the others its keys.
 
     In decide mode every solver drops an entry as soon as its weight plus
     its deleted bag vertices exceeds the budget, so at k = opt - 1 the
@@ -545,16 +552,16 @@ class TestPruningStrength:
             "p4": (60, None),
             "k1s:3": (55, None),
             "k1s:4": (82, None),
-            "c4": (36, 4),
-            "paw": (86, 4),
+            "c4": (46, 4),
+            "paw": (99, 4),
         },
         "frozen#2": {
             "p3": (26, None),
             "p4": (67, None),
             "k1s:3": (71, None),
             "k1s:4": (128, None),
-            "c4": (65, 3),
-            "paw": (105, 3),
+            "c4": (70, 3),
+            "paw": (110, 3),
         },
     }
 
@@ -564,10 +571,10 @@ class TestPruningStrength:
             "p4": 2357,
             "k1s:3": 1872,
             "k1s:4": 1164,
-            "c4": 1531,
-            "paw": 3263,
+            "c4": 1776,
+            "paw": 3508,
         },
-        "frozen#2": {"p3": 122, "p4": 267, "k1s:3": 125, "k1s:4": 73, "c4": 77, "paw": 270},
+        "frozen#2": {"p3": 122, "p4": 267, "k1s:3": 125, "k1s:4": 73, "c4": 77, "paw": 272},
     }
 
     @staticmethod
