@@ -166,18 +166,6 @@ def reduce_codes(entries: dict[Code, int]) -> dict[Code, int]:
 # Partition-keyed weights too.
 
 
-def glue_set(entries: dict, i: int, glue: Iterable[int], blocks: int | None) -> dict:
-    """`insert_glue` on every code, keeping those of `blocks` blocks (all if
-    None)."""
-    glue = tuple(glue)
-    out: dict = {}
-    for code, w in entries.items():
-        code = insert_glue(code, i, glue)
-        if (blocks is None or block_count(code) == blocks) and w < out.get(code, w + 1):
-            out[code] = w
-    return out
-
-
 def map_set(entries: dict, kernel, *args) -> dict:
     """`kernel(code, *args)` on every code; codes it maps to None go."""
     out: dict = {}
@@ -188,15 +176,14 @@ def map_set(entries: dict, kernel, *args) -> dict:
     return out
 
 
-def meet_sets(left: dict, right: dict, blocks: int | None) -> dict:
-    """Every pairwise meet, weights added, keeping those of `blocks` blocks
-    (all if None)."""
+def meet_sets(left: dict, right: dict) -> dict:
+    """Every pairwise meet, weights added."""
     out: dict = {}
     for c1, w1 in left.items():
         for c2, w2 in right.items():
             code = meet_codes(c1, c2)
             w = w1 + w2
-            if (blocks is None or block_count(code) == blocks) and w < out.get(code, w + 1):
+            if w < out.get(code, w + 1):
                 out[code] = w
     return out
 
@@ -420,7 +407,7 @@ class WeightedPartitionSet:
         sset = set(s)
         target = tuple(sorted(set(self.ground) | sset))
         merged = {Partition.merged(target, sset).code: 0}
-        codes = meet_sets(self._lifted(target), merged, None)
+        codes = meet_sets(self._lifted(target), merged)
         return WeightedPartitionSet._of_codes(target, codes)
 
     def proj(self, xs: Iterable[int]) -> WeightedPartitionSet:
@@ -441,7 +428,7 @@ class WeightedPartitionSet:
         """All pairwise combinations over the union ground, weights added."""
         target = tuple(sorted(set(self.ground) | set(other.ground)))
         return WeightedPartitionSet._of_codes(
-            target, meet_sets(self._lifted(target), other._lifted(target), None)
+            target, meet_sets(self._lifted(target), other._lifted(target))
         )
 
     def opt(self, q: Partition) -> int | None:

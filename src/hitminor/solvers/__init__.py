@@ -6,9 +6,8 @@ statistics.  Decide mode passes its budget k to the solver, which returns
 None when the minimum exceeds k.  The pipeline validates and makes the
 decomposition nice once, and every solver runs on that one nice form; C4
 and paw keep their universal vertex implicit in their partition codes, not
-in the bags.  Chair
-and banner have no table solver here; they are served by the exhaustive
-oracle and requesting them raises.
+in the bags.  Chair and banner have no table solver here; they are served
+by the exhaustive oracle and requesting them raises.
 """
 
 from __future__ import annotations

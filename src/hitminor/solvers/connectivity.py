@@ -17,13 +17,13 @@ A table maps (labels, redges, c, code) to the least weight, each hook
 working entry by entry through the cached kernels of `partitions`.  A code
 is a partition of the ground bag vertices plus v0 (their connectivity
 classes): for each ground position in bag order and then for v0, the least
-position in its block.  A weight counts the deleted vertices the partial
-solution has forgotten: each deletion is paid once, at its forget node.
-After every node the codes of each key that holds four or more are shrunk
-to a min-weight representative subset, which keeps the tables
-single-exponential in the bag size.  The answer is the least weight at the
-root, where v0 alone is left; with a budget, an entry goes as soon as its
-weight plus its key's deleted bag vertices exceeds it.  Each component
+position in its block.  A weight counts the deleted vertices of the
+partial solution, bag vertices included: a deletion is paid at its
+introduce node.  After every node the codes of each key that holds four or
+more are shrunk to a min-weight representative subset, which keeps the
+tables single-exponential in the bag size.  The answer is the least weight
+at the root, where v0 alone is left; with a budget, an entry goes as soon
+as its weight exceeds it.  Each component
 takes one edge to v0, at the forget node of one of its vertices, so no key
 records one: a forgotten ground position leaves as it is, which needs
 another position in its block, or takes its component's v0-edge first.
@@ -39,12 +39,12 @@ glue, at the join's meet and in `attach` (the v0-edge, which drops a code
 whose position shares v0's block already); the one local check left is
 that no edge lies in two triangles (a diamond keeps the count right).
 
-The two solvers share the reduction (`finish`, run on each node's table,
-which also drops codes over the budget), one forget and one join; each
-supplies its introduce, which reads the new vertex's bag neighbours from
-the engine's bag adjacency bitmasks, and the labels that may not be
-forgotten.  A join pairs entries whose positions agree on their kind (deleted,
-cycle or ground), adds them, subtracts once what both sides counted, as the
+The two solvers share the reduction (`finish`, run on each node's table),
+one forget and one join; each supplies its introduce, which reads the new
+vertex's bag neighbours from the engine's bag adjacency bitmasks, and the
+labels that may not be forgotten.  A join pairs entries whose positions
+agree on their kind (deleted, cycle or ground), adds them, subtracts once
+what both sides counted, deleted bag vertices included, as the
 bounded-degree join does, and rejects a cycle degree above 2 with one
 guard-bit test.
 """
@@ -91,8 +91,8 @@ def _vedge(a: int, b: int) -> tuple[int, int]:
 
 
 def _forget(stay: tuple[int, ...], v: int, cpos: int, child: dict) -> dict:
-    """Drop position cpos's field (`remove_field`, inlined), paying for a
-    deletion; a label in `stay` may not leave.  A ground position i leaves
+    """Drop position cpos's field (`remove_field`, inlined); a label in
+    `stay` may not leave.  A ground position i leaves
     as it is, or takes its component's v0-edge under count c - 1 (`attach`,
     which drops a code whose i shares v0's block: that edge closes a
     cycle)."""
@@ -113,7 +113,6 @@ def _forget(stay: tuple[int, ...], v: int, cpos: int, child: dict) -> dict:
             images = ((drop_code(code, i, True), c), (attach(code, i), c - 1))
         else:
             images = ((code, c),)
-            w += not x  # a deleted vertex (label 0) is paid for here
         for new, c_new in images:
             if new is not None:
                 entry = (key, redges, c_new, new)
@@ -133,22 +132,24 @@ def _join(adj: list[int], left: dict, right: dict) -> dict:
         group = grouped.get(kinds)
         if group is None:
             # Both sides count the ground labels, bag vertices and v0, edges
-            # and triangles, and at a cycle position its 1 and its cycle
-            # bag neighbours.
+            # and triangles, at a cycle position its 1 and its cycle bag
+            # neighbours, and the deleted bag vertices.
             ground = field_mask(kinds & ground_bits, _W)
             edges, tris = _bag_counts(adj, ground)
             shared = kinds + sum(m << _W * p for p, m in kept_counts(adj, kinds & ones, _W))
             shared_c = ground.bit_count() + 1 - edges + tris
+            dels = len(adj) - field_mask(kinds, _W).bit_count()
             # 4 more sets a cycle field's guard bit where its degree passes 2.
-            group = grouped[kinds] = (shared, (kinds & ones) << 2, shared_c, 3 * tris, [])
-        group[4].append((key, redges, c, code, w))
+            group = grouped[kinds] = (shared, (kinds & ones) << 2, shared_c, 3 * tris, dels, [])
+        group[5].append((key, redges, c, code, w))
     out: dict = {}
     for (key1, redges1, c1, code1), w1 in left.items():
         group = grouped.get(key1 & ground_bits | (key1 | key1 >> 1) & ones)
         if group is None:
             continue
-        shared, over, shared_c, tri_edge_count, bucket = group
+        shared, over, shared_c, tri_edge_count, dels, bucket = group
         base = key1 - shared
+        w1 -= dels
         for key2, redges2, c2, code2, w2 in bucket:
             # Both sides hold every edge of the bag's triangles, which are
             # edge-disjoint; any further shared edge would glue two
@@ -175,15 +176,12 @@ def _dp(g, ntd, budget, stats, introduce, stay) -> int | None:
     weight at the root, where v0 is alone and c = 1."""
     max_pset = 0
 
-    def finish(table: dict, room) -> None:
-        # Drop the entries over their budget room, then reduce the codes of
-        # each key that holds four or more.  Distinct codes have distinct
-        # cut rows, each with bit 0 set (the cut whose V2 side is empty), so
-        # the XOR of two rows is no third row: `reduce_codes` keeps any three.
+    def finish(table: dict) -> None:
+        # Reduce the codes of each key that holds four or more.  Distinct
+        # codes have distinct cut rows, each with bit 0 set (the cut whose V2
+        # side is empty), so the XOR of two rows is no third row:
+        # `reduce_codes` keeps any three.
         nonlocal max_pset
-        if room is not None:
-            for entry in [entry for entry, w in table.items() if w > room(entry[0])]:
-                del table[entry]
         sizes = Counter(map(_head, table))
         sets = {head: {} for head, n in sizes.items() if n > 3}
         if sets:
@@ -200,7 +198,7 @@ def _dp(g, ntd, budget, stats, introduce, stay) -> int | None:
         max_pset = max(max_pset, *sizes.values(), 0)
 
     hooks = (introduce, partial(_forget, stay), _join)
-    root_table = run_dp(g, ntd, {_EMPTY: 0}.copy, *hooks, _W, finish, budget, stats=stats)
+    root_table = run_dp(g, ntd, {_EMPTY: 0}.copy, *hooks, finish, budget, stats=stats)
     if stats is not None:
         stats["max_partition_set_size"] = max(stats.get("max_partition_set_size", 0), max_pset)
     return root_table.get(_EMPTY)
@@ -267,7 +265,7 @@ def _c4_introduce(bag, adj: list[int], pos: int, child: dict) -> dict:
             view = views[key_c] = (deleted, deleted | _GROUND << shift, growth)
         deleted, grown, growth = view
         # Deleting v maps distinct entries to distinct ones.
-        out[deleted, redges, c, code] = w
+        out[deleted, redges, c, code] = w + 1
         if growth is None:
             continue
         new_tris, dc, i, glue = growth
@@ -314,7 +312,7 @@ def _paw_introduce(bag, adj: list[int], pos: int, child: dict) -> dict:
         key = key & low | (key >> shift) << shift + _W  # `insert_field`, 0
         # Deleting v, and adding it to the cycle part, map distinct entries
         # to distinct ones.
-        out[key, redges, c, code] = w
+        out[key, redges, c, code] = w + 1
         y = key & fields
         # Forest case: no plain edge may run into the cycle part.
         if not y & ~ground_bits:

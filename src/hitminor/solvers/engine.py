@@ -11,28 +11,30 @@ are visited in the post-order of the nice decomposition (Cygan et al.,
 its parent's is built, so at most one table per pending join branch is
 alive.
 
-The engine alone sets a decide-mode budget: after each leaf, introduce and
-join node an entry goes when its weight plus its key's deleted bag vertices
-(label 0) exceeds it.  A C4 or paw table goes whole to `finish` with
-`room(labels)`, the largest weight an entry with those labels may keep, and
-`finish` drops the entries above it.  A forget node pays exactly the deletion it drops from the
-bag, so it pushes no entry over and is not checked.  A solver whose root
-table is left empty returns None.
+A table's weight counts every deleted vertex of its entry's partial
+solution, bag vertices included: an introduce pays the vertex it deletes,
+and a join subtracts the deleted bag vertices both sides count.  So a
+forget adds no weight, and the engine alone sets a decide-mode budget:
+after each leaf, introduce and join node it drops every entry whose weight
+exceeds the budget, reading no key.  Then `finish(table)`, which C4 and paw
+pass, reduces the table in place.  A solver whose root table is left empty
+returns None.
 
 Every solver packs its bag vertices' labels into one int: bag position p's
 label is the field of `width` bits at bit width·p, and label 0 (deleted) is
 an all-zero field, so the empty bag's key is 0.  The label tables key an
 entry by that int, C4 and paw by (that int, triangle edges, component
-count, partition code).  `get_field`, `insert_field` and `remove_field` read, insert and
-drop one field; a bitmask of bag positions is the width-1 case, `spread`
-widens one into a key with label 1 at each of its positions, and
-`field_mask` narrows a key back to the bitmask of its nonzero fields.  A
-solver that keeps its labels below 2^(width-2) leaves the top bit of each
-field, the guard bit, free: adding a constant per field (`guard_fills`)
-then sets a field's guard bit exactly when its label passes a threshold,
-so one addition and one mask test every field at once.  The solvers'
-per-entry loops inline these shifts, since a call per key costs about a
-third of a forget; the three field functions are the tests' reference.
+count, partition code).  `get_field`, `insert_field` and `remove_field`
+read, insert and drop one field; a bitmask of bag positions is the width-1
+case, `spread` widens one into a key with label 1 at each of its
+positions, and `field_mask` narrows a key back to the bitmask of its
+nonzero fields.  A solver that keeps its labels below 2^(width-2) leaves
+the top bit of each field, the guard bit, free: adding a constant per field
+(`guard_fills`) then sets a field's guard bit exactly when its label passes
+a threshold, so one addition and one mask test every field at once.  The
+solvers' per-entry loops inline these shifts, since a call per key costs
+about a third of a forget; the three field functions are the tests'
+reference.
 """
 
 from __future__ import annotations
@@ -124,26 +126,6 @@ def check_bags(g: Graph, ntd: NiceTreeDecomposition) -> None:
             )
 
 
-def within(value: int, budget: int | None) -> int | None:
-    """`value`, or None if a budget is given and `value` exceeds it."""
-    return value if budget is None or value <= budget else None
-
-
-def _prune(table: dict, width: int, n: int, base: int | None, finish) -> None:
-    """`run_dp`'s pass over a node's table, of n bag positions: an entry's
-    room is `base` (the budget minus n) plus its labels' nonzero fields."""
-    ones = ((1 << width * n) - 1) // ((1 << width) - 1)
-    top = ones << width - 1
-    low = top - ones  # (x & low) + low | x sets a field's top bit iff x != 0
-    if finish is not None:
-        room = None if base is None else lambda x: base + (((x & low) + low | x) & top).bit_count()
-        finish(table, room)
-        return
-    for key, value in list(table.items()):
-        if value > base + (((key & low) + low | key) & top).bit_count():
-            del table[key]
-
-
 def run_dp(
     g: Graph,
     ntd: NiceTreeDecomposition,
@@ -151,7 +133,6 @@ def run_dp(
     introduce,
     forget,
     join,
-    width: int,
     finish=None,
     budget: int | None = None,
     bound: int | None = None,
@@ -160,14 +141,14 @@ def run_dp(
     """Build every node's table bottom-up over `ntd`, a nice decomposition
     of g, and return the root's.
 
-    A label table maps a key, its labels in fields of `width` bits, to the
-    deletions its partial solution has forgotten; C4 and paw key an entry
-    by (labels, ..., code).  `budget` prunes as the module docstring says;
-    `finish(table, room)`, which C4 and paw pass, changes each node's table
-    in place, `room` None without a budget and at forget nodes.  A bag vertex outside g raises ValueError.  With a `bound`,
-    every table is asserted to hold at most bound^|bag| keys.  The largest
-    table size is folded into `stats["max_table_size"]`, and the number of
-    entries stored over all nodes is added to `stats["table_entries"]`.
+    A label table maps a key, its packed labels, to the least weight of a
+    partial solution realizing them; C4 and paw key an entry by (labels,
+    ..., code).  `budget` prunes as the module docstring says, and
+    `finish(table)` runs on every node's table after it.  A bag vertex
+    outside g raises ValueError.  With a `bound`, every table is asserted
+    to hold at most bound^|bag| keys.  The largest table size is folded
+    into `stats["max_table_size"]`, and the number of entries stored over
+    all nodes is added to `stats["table_entries"]`.
     """
     check_bags(g, ntd)
     tables: list[dict | None] = [None] * len(ntd)
@@ -189,9 +170,11 @@ def run_dp(
             table = join(bag_adjacency(g, bag), tables[kids[0]], tables[kids[1]])
         for c in kids:
             tables[c] = None
-        base = None if budget is None or kind == FORGET else budget - len(bag)
-        if base is not None or finish is not None:
-            _prune(table, width, len(bag), base, finish)
+        if budget is not None and kind != FORGET:
+            for key in [key for key, w in table.items() if w > budget]:
+                del table[key]
+        if finish is not None:
+            finish(table)
         if bound is not None:
             assert len(table) <= bound ** len(bag)
         max_table = max(max_table, len(table))

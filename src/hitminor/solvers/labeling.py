@@ -3,8 +3,8 @@ bounded degree.  P3 is the star K1,2, so its free graphs are those of maximum
 degree one and `solve_p3` is the degree-1 case of `solve_bdd`.
 
 Each table maps a key, the labels of the bag vertices packed into one int
-(`engine.get_field`), to the smallest number of deleted vertices the subtree
-has already forgotten, among partial solutions realizing those labels on the
+(`engine.get_field`), to the smallest number of deleted vertices, bag
+vertices included, among partial solutions realizing those labels on the
 subtree graph; missing keys mean "infeasible", or over the budget, which the
 engine enforces; a solver returns None when its minimum exceeds it.  Bag
 position p's label is the field of B bits at bit B·p.  Label 0 means deleted
@@ -13,9 +13,9 @@ part) is labelled 1 + its degree, in fields of B = (d + 1).bit_length() + 2
 bits: a label is at most d + 1 < 2^(B-2), so two labels add without a carry
 into the next field, and the field's top bit is a guard bit that one
 addition per field sets exactly where a label passes a threshold.  P4's six
-labels take B = 3.  Both solvers share one forget, which drops a field with
-a shift and a mask and pays each deletion once, when its vertex is
-forgotten; each join adds the two counts.
+labels take B = 3.  An introduce pays the vertex it deletes, the shared
+forget drops a field with a shift and a mask, and a join adds the two
+counts less the deleted bag vertices both count.
 
 P4 uses six labels: deleted, ISO (kept with no kept neighbour yet, its role
 still open), star leaf, star centre, open triangle vertex and completed
@@ -36,7 +36,7 @@ from functools import partial
 
 from ..graph import Graph
 from ..treedecomp import NiceTreeDecomposition
-from .engine import bits, check_bags, guard_fills, kept_counts, run_dp, spread, within
+from .engine import bits, check_bags, guard_fills, kept_counts, run_dp, spread
 
 Table = dict[int, int]
 
@@ -52,8 +52,8 @@ def _leaf() -> Table:
 
 
 def _forget(width: int, stay: int | None, v: int, cpos: int, child: Table) -> Table:
-    """Drop position cpos's field (`remove_field`, inlined), paying for a
-    deletion; label `stay` may not leave."""
+    """Drop position cpos's field (`remove_field`, inlined); label `stay`
+    may not leave."""
     shift = width * cpos
     low = (1 << shift) - 1
     field = (1 << width) - 1
@@ -63,7 +63,6 @@ def _forget(width: int, stay: int | None, v: int, cpos: int, child: Table) -> Ta
         if x == stay:
             continue
         key = key & low | (key >> shift + width) << shift
-        r += not x
         prev = out.get(key)
         if prev is None or r < prev:
             out[key] = r
@@ -109,7 +108,7 @@ def solve_p4(
 ) -> int | None:
     """Minimum deletions so every component is a triangle or a star."""
     hooks = (_p4_introduce, partial(_forget, _P4_WIDTH, _P4_TRI_OPEN), _p4_join)
-    return run_dp(g, ntd, _leaf, *hooks, _P4_WIDTH, budget=budget, bound=6, stats=stats).get(0)
+    return run_dp(g, ntd, _leaf, *hooks, budget=budget, bound=6, stats=stats).get(0)
 
 
 def _p4_introduce(bag, adj: list[int], pos: int, child: Table) -> Table:
@@ -133,7 +132,7 @@ def _p4_introduce(bag, adj: list[int], pos: int, child: Table) -> Table:
     for key, r in child.items():
         key = key & low | (key >> shift) << shift + _P4_WIDTH  # `insert_field`, DEL
         # Only this entry yields keys with the new vertex DEL or ISO.
-        out[key] = r
+        out[key] = r + 1
         y = key & fields
         if not y:
             out[key | iso] = r
@@ -156,12 +155,12 @@ def _p4_introduce(bag, adj: list[int], pos: int, child: Table) -> Table:
 
 
 def _p4_join(adj: list[int], left: Table, right: Table) -> Table:
-    """Pair entries with the same deleted positions and the same role at
-    every position with a kept bag neighbour (TRI_DONE keys as TRI_OPEN).
-    A role position joins to the bitwise or of its labels, but two
-    completed triangles must be the same one, so TRI_DONE on both sides
-    needs two kept bag neighbours; the other kept positions join through
-    `_p4_free_merge`, memoized per join."""
+    """Pair entries with the same deleted positions, which both weights
+    count, and the same role at every position with a kept bag neighbour
+    (TRI_DONE keys as TRI_OPEN).  A role position joins to the bitwise or
+    of its labels, but two completed triangles must be the same one, so
+    TRI_DONE on both sides needs two kept bag neighbours; the other kept
+    positions join through `_p4_free_merge`, memoized per join."""
     ones = spread((1 << len(adj)) - 1, _P4_WIDTH)
 
     def kept(key: int) -> int:
@@ -183,6 +182,7 @@ def _p4_join(adj: list[int], left: Table, right: Table) -> Table:
                 free |= 0b111 << _P4_WIDTH * p
         # A key's roles, with TRI_DONE's low bit cleared: key & roles & ~done.
         role_bits = roles & ones
+        dels = len(adj) - mask.bit_count()
         by_role: dict[int, list[tuple[int, int]]] = {}
         for key2, r2 in entries2:
             by_role.setdefault(key2 & roles & ~(key2 >> 2 & role_bits), []).append((key2, r2))
@@ -190,6 +190,7 @@ def _p4_join(adj: list[int], left: Table, right: Table) -> Table:
             bucket = by_role.get(key1 & roles & ~(key1 >> 2 & role_bits))
             if bucket is None:
                 continue
+            r1 -= dels
             free1 = key1 & free
             for key2, r2 in bucket:
                 both = key1 & key2
@@ -251,14 +252,14 @@ def solve_bdd(
         if stats is not None:
             stats.setdefault("max_table_size", 0)
             stats.setdefault("table_entries", 0)
-        return within(0, budget)
+        return None if budget is not None and budget < 0 else 0
     width = (d + 1).bit_length() + 2
     hooks = (
         partial(_bdd_introduce, d, width),
         partial(_forget, width, None),
         partial(_bdd_join, d, width),
     )
-    return run_dp(g, ntd, _leaf, *hooks, width, budget=budget, bound=d + 2, stats=stats).get(0)
+    return run_dp(g, ntd, _leaf, *hooks, budget=budget, bound=d + 2, stats=stats).get(0)
 
 
 def _bdd_introduce(d: int, width: int, bag, adj: list[int], pos: int, child: Table) -> Table:
@@ -272,7 +273,7 @@ def _bdd_introduce(d: int, width: int, bag, adj: list[int], pos: int, child: Tab
     for key, r in child.items():
         key = key & low | (key >> shift) << shift + width  # `insert_field`, deleted
         # Only this entry yields the key with the new vertex deleted.
-        out[key] = r
+        out[key] = r + 1
         y = key & fields
         if (y + full_fill) & guard:
             continue
@@ -285,9 +286,9 @@ def _bdd_introduce(d: int, width: int, bag, adj: list[int], pos: int, child: Tab
 
 
 def _bdd_join(d: int, width: int, adj: list[int], left: Table, right: Table) -> Table:
-    """Pair entries with the same deleted positions.  Both sides count a
-    kept vertex's c kept bag neighbours, so labels a and b join to
-    a + b - 1 - c, which must stay at most d + 1."""
+    """Pair entries with the same deleted positions, which both weights
+    count.  Both sides count a kept vertex's c kept bag neighbours, so
+    labels a and b join to a + b - 1 - c, which must stay at most d + 1."""
     guard, kept_fill, over_fill = guard_fills((1 << len(adj)) - 1, width, 1, d + 2)
 
     def kept(key: int) -> int:
@@ -300,8 +301,10 @@ def _bdd_join(d: int, width: int, adj: list[int], left: Table, right: Table) -> 
         if entries2 is None:
             continue
         shared = sum((1 + c) << width * p for p, c in kept_counts(adj, mask, width))
+        dels = len(adj) - mask.bit_count()
         for key1, r1 in entries1:
             base = key1 - shared
+            r1 -= dels
             for key2, r2 in entries2:
                 key = base + key2
                 if (key + over_fill) & guard:

@@ -560,6 +560,8 @@ def parse_td(text: str) -> TreeDecomposition:
                 header = (int(parts[2]), int(parts[3]), int(parts[4]))
             except ValueError:
                 raise FormatError(f"line {lineno}: malformed header {line!r}")
+            if min(header) < 0:
+                raise FormatError(f"line {lineno}: negative counts")
             continue
         if header is None:
             raise FormatError(f"line {lineno}: content before 's td' header")

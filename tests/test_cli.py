@@ -188,6 +188,15 @@ class TestSolve:
         code = main(["solve", "--pattern", "p3", "--graph", str(good), "--td", str(td)])
         assert code == EXIT_FORMAT
 
+    def test_negative_td_count_exit(self, tmp_path, capsys):
+        good = tmp_path / "ok.gr"
+        good.write_text("p tw 2 1\n1 2\n")
+        td = tmp_path / "negative.td"
+        td.write_text("s td -1 1 1\n")
+        code = main(["solve", "--pattern", "p3", "--graph", str(good), "--td", str(td)])
+        assert code == EXIT_FORMAT
+        assert "negative counts" in capsys.readouterr().err
+
     def test_missing_file(self):
         assert main(["solve", "--pattern", "p3", "--graph", "/nonexistent.gr"]) == EXIT_FORMAT
 

@@ -84,7 +84,9 @@ def test_width_one_is_a_bitmask():
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
 def test_bounded_degree_join_matches_merge_rows(d):
     """The packed join, with its one guard-bit test per key, agrees with
-    a table-driven merge (`degree_merge_row`) on tuple labels."""
+    a table-driven merge (`degree_merge_row`) on tuple labels.  A weight
+    counts the deleted bag positions, which both sides share, so the join
+    subtracts them once."""
     rng = random.Random(d)
     width = (d + 1).bit_length() + 2
     for _ in range(60):
@@ -94,6 +96,7 @@ def test_bounded_degree_join_matches_merge_rows(d):
         # A kept vertex has degree at most d, its kept bag neighbours included.
         while any(kept >> p & 1 and (adj[p] & kept).bit_count() > d for p in range(n)):
             kept &= kept - 1
+        deleted = n - kept.bit_count()
 
         def side():
             # Labels valid at a join: a kept vertex counts its kept bag
@@ -104,7 +107,7 @@ def test_bounded_degree_join_matches_merge_rows(d):
                     rng.randrange(1 + (adj[p] & kept).bit_count(), d + 2) if kept >> p & 1 else 0
                     for p in range(n)
                 )
-                table[labels] = rng.randrange(5)
+                table[labels] = deleted + rng.randrange(5)
             return table
 
         left, right = side(), side()
@@ -117,7 +120,8 @@ def test_bounded_degree_join_matches_merge_rows(d):
                 )
                 if -1 not in merged:
                     key = pack(merged, width)
-                    want[key] = min(want.get(key, r1 + r2), r1 + r2)
+                    r = r1 + r2 - deleted
+                    want[key] = min(want.get(key, r), r)
         packed = [{pack(t, width): r for t, r in side.items()} for side in (left, right)]
         assert _bdd_join(d, width, adj, *packed) == want
 

@@ -20,7 +20,6 @@ from hitminor.partitions import (
     attach,
     block_count,
     drop_code,
-    glue_set,
     insert_glue,
     map_set,
     meet_codes,
@@ -393,10 +392,9 @@ class TestCodeKernelsMatchReference:
 
 
 class TestBlockMergingKernels:
-    """The set operations that merge blocks, over every partition of up to
-    six positions: `attach` against the meet with {i, last} and a projecting
-    drop, and `glue_set`/`meet_sets` with a target block count against
-    their unfiltered output filtered afterwards."""
+    """The kernels that merge blocks, over every partition of up to six
+    positions: `attach` against the meet with {i, last} and a projecting
+    drop."""
 
     CODES = {n: [p.code for p in all_partitions(range(n))] for n in range(1, 7)}
 
@@ -416,30 +414,8 @@ class TestBlockMergingKernels:
                     for code, w in entries.items()
                     if len(set(meet_codes(code, last))) == len(set(code)) - 1
                 }
-                old = map_set(meet_sets(lowered, {last: 0}, None), drop_code, i, True)
+                old = map_set(meet_sets(lowered, {last: 0}), drop_code, i, True)
                 assert map_set(entries, attach, i) == old
-
-    def test_glue_keeps_the_target_block_count(self):
-        for n, codes in self.CODES.items():
-            if n == 6:
-                continue  # glue inserts a position: six at most
-            entries = {code: k % 3 for k, code in enumerate(codes)}
-            for i in range(n + 1):
-                for mask in range(1 << n + 1):
-                    glue = [j for j in range(n + 1) if mask >> j & 1]
-                    full = glue_set(entries, i, glue, None)
-                    for b in range(1, n + 2):
-                        want = {c: w for c, w in full.items() if len(set(c)) == b}
-                        assert glue_set(entries, i, glue, b) == want
-
-    def test_meet_keeps_the_target_block_count(self):
-        for n, codes in self.CODES.items():
-            left = {code: k % 4 for k, code in enumerate(codes)}
-            right = {code: k % 3 for k, code in enumerate(codes)}
-            full = meet_sets(left, right, None)
-            for b in range(1, n + 1):
-                want = {c: w for c, w in full.items() if len(set(c)) == b}
-                assert meet_sets(left, right, b) == want
 
     @pytest.mark.parametrize("solver", [solve_c4, solve_paw], ids=["c4", "paw"])
     def test_a_tree_keeps_one_code_per_key(self, solver):

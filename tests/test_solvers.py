@@ -31,7 +31,7 @@ from hitminor import (
     solve_paw,
 )
 from hitminor.oracle import min_deletion_bruteforce
-from hitminor.solvers.engine import get_field
+from hitminor.solvers.engine import field_mask, get_field
 
 from corpus import (
     atlas_classes,
@@ -422,14 +422,14 @@ def _bag_view(g: Graph, bag, kept: int) -> Graph:
     return Graph(v0 + 1, edges)
 
 
-def _stored_tables(monkeypatch, solver, g, budget=None):
-    """Every (node, table) a C4/paw solve keeps after `finish`, each flat
-    (labels, redges, c, code) -> weight table read as (labels, redges, c)
-    -> {code: weight}."""
+def _node_tables(monkeypatch, solver, g, budget=None):
+    """Every (bag, table) a solve keeps, in post-order, each table as the
+    engine leaves it after its budget filter and `finish`."""
     import hitminor.solvers.connectivity as conn
+    import hitminor.solvers.labeling as lab
+    from hitminor.solvers.engine import run_dp
 
     seen = []
-    original = conn.run_dp
 
     def spy_run_dp(g, ntd, *args, **kwargs):
         # One node-kind hook runs per node, in post-order; the engine then
@@ -444,19 +444,61 @@ def _stored_tables(monkeypatch, solver, g, budget=None):
             return wrapper
 
         hooks = [recorded(hook) for hook in args[:4]]
-        root = original(g, ntd, *hooks, *args[4:], **kwargs)
-        for bag, table in zip(ntd.bags, tables):
-            sets: dict = {}
-            for (*key, code), w in table.items():
-                sets.setdefault(tuple(key), {})[code] = w
-            seen.append((bag, sets))
+        root = run_dp(g, ntd, *hooks, *args[4:], **kwargs)
+        seen.extend(zip(ntd.bags, tables))
         return root
 
-    monkeypatch.setattr(conn, "run_dp", spy_run_dp)
+    for module in (conn, lab):
+        monkeypatch.setattr(module, "run_dp", spy_run_dp)
     solver(g, make_nice(heuristic_td(g), g), budget=budget)
     assert seen
     return seen
 
+
+def _stored_tables(monkeypatch, solver, g, budget=None):
+    """Every (node, table) a C4/paw solve keeps after `finish`, each flat
+    (labels, redges, c, code) -> weight table read as (labels, redges, c)
+    -> {code: weight}."""
+    seen = []
+    for bag, table in _node_tables(monkeypatch, solver, g, budget):
+        sets: dict = {}
+        for (*key, code), w in table.items():
+            sets.setdefault(tuple(key), {})[code] = w
+        seen.append((bag, sets))
+    return seen
+
+
+class TestWeightsCountDeletedBagVertices:
+    """A stored weight counts every deleted vertex of its partial solution,
+    the bag's deleted (label 0) positions included, so it is at least their
+    number; in decide mode the engine drops every entry whose weight passes
+    the budget k after each leaf, introduce and join node, and a forget
+    adds no weight, so no stored weight passes k."""
+
+    # Field widths: (d + 1).bit_length() + 2 for degree bound d (P3: d = 1,
+    # K1,3: d = 2), 3 for P4, and `connectivity._W` = 4 for C4 and paw.
+    @pytest.mark.parametrize(
+        "solver, width",
+        [(solve_p3, 4), (solve_p4, 3), (partial(solve_k1s, s=3), 4), (solve_c4, 4), (solve_paw, 4)],
+        ids=["p3", "p4", "k1s:3", "c4", "paw"],
+    )
+    def test_weights_count_deleted_bag_vertices(self, monkeypatch, solver, width):
+        rng = random.Random(27)
+        entries = 0
+        for _ in range(6):
+            g = random_graph(8, 0.45, rng)
+            if g.max_degree() < 3:
+                continue  # K1,3's solver runs no DP below degree 3
+            opt = solver(g, make_nice(heuristic_td(g), g))
+            for budget in (None, opt - 1, opt):
+                for bag, table in _node_tables(monkeypatch, solver, g, budget):
+                    for key, w in table.items():
+                        labels = key[0] if isinstance(key, tuple) else key
+                        deleted = len(bag) - field_mask(labels, width).bit_count()
+                        assert w >= deleted, (bag, key, w)
+                        assert budget is None or w <= budget, (bag, key, w)
+                    entries += len(table)
+        assert entries > 1000
 
 class TestCodesMatchTheirCount:
     """Every stored code has as many blocks as its key's component count
@@ -540,11 +582,11 @@ class TestPruningStrength:
     ceilings: pattern -> (max_table_size, max_partition_set_size).  C4 and
     paw count a table's stored (key, code) entries, the others its keys.
 
-    In decide mode every solver drops an entry as soon as its weight plus
-    its deleted bag vertices exceeds the budget, so at k = opt - 1 the
-    entries stored over all nodes have ceilings too (`DECIDE_ENTRIES`).
-    Leaving the deleted bag vertices out of that sum keeps every answer but
-    stores more entries."""
+    In decide mode every solver drops an entry as soon as its weight, which
+    counts its deleted bag vertices, exceeds the budget, so at k = opt - 1
+    the entries stored over all nodes have ceilings too (`DECIDE_ENTRIES`).
+    Paying deletions only at forget, filtered by `w > k` after every node,
+    keeps every answer but stores more entries (frozen#2: P3 231)."""
 
     CEILINGS = {
         "grid3x12": {

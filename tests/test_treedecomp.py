@@ -447,6 +447,11 @@ class TestTdFormat:
         with pytest.raises(FormatError):
             parse_td("s td x 1 1\n")
 
+    def test_negative_counts_rejected(self):
+        for header in ("s td -1 1 1", "s td 1 -1 1", "s td 1 1 -1"):
+            with pytest.raises(FormatError, match="negative counts"):
+                parse_td(header + "\n")
+
     def test_bag_id_out_of_range(self):
         with pytest.raises(FormatError, match="range"):
             parse_td("s td 1 1 1\nb 2 1\n")
